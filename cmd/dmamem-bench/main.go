@@ -5,8 +5,6 @@
 //
 //	dmamem-bench [-duration 100ms] [-seed 1] [-parallel N] [-timing]
 //	             [-scheduler wheel|heap] [-feeder batched|per-event]
-//	             [-workers N] [-epoch 50us] [-fixed-epoch]
-//	             [-parallel-bench BENCH_parallel.json]
 //	             [-shards N] [-shard-addrs host:port,...]
 //	             [-shard-worker] [-shard-listen addr]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -33,22 +31,6 @@
 // the wall-clock changes, which makes the flags a self-service
 // cross-check and a profiling aid. -cpuprofile and -memprofile write
 // pprof profiles of the whole run for `go tool pprof`.
-//
-// -workers N parallelises WITHIN each simulation: every run uses the
-// epoch-barrier parallel engine with N event-loop goroutines (one per
-// memory channel, capped at the channel count) instead of the serial
-// reference engine. Results stay byte-identical at any worker count.
-// This is orthogonal to -parallel, which fans out independent runs.
-// Both flags must be at least 1; -workers 1 keeps the serial engine.
-// -epoch sets the parallel engine's barrier period and -fixed-epoch
-// disables adaptive barrier elision (the bit-identical cross-check
-// mode); neither changes any printed result.
-//
-// -parallel-bench file.json skips the figures and instead measures the
-// parallel engine's scaling across channels x workers, adaptive vs
-// fixed barriers, on a dense and a sparse workload, writing the grid
-// to the named JSON file (the committed BENCH_parallel.json) and
-// printing it as a table.
 //
 // -shards N runs the sweep figures (5, 8, 9, 10) through the
 // process-sharded executor: the grid is partitioned by sweep point
@@ -98,10 +80,6 @@ func realMain() int {
 	seed := flag.Uint64("seed", 1, "generator seed")
 	fig := flag.String("fig", "all", "which figure/table to regenerate")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent simulation runs (1 = sequential)")
-	workers := flag.Int("workers", 1, "event-loop goroutines inside each simulation (1 = serial reference engine)")
-	epoch := flag.Duration("epoch", 0, "barrier period of the parallel engine (0 = default 50us; needs -workers > 1)")
-	fixedEpoch := flag.Bool("fixed-epoch", false, "disable adaptive barrier elision (bit-identical cross-check mode; needs -workers > 1)")
-	parallelBench := flag.String("parallel-bench", "", "measure parallel engine scaling (channels x workers, adaptive vs fixed) and write the JSON grid to this file instead of running figures")
 	timing := flag.Bool("timing", false, "print a per-run wall-clock timing summary to stderr")
 	scheduler := flag.String("scheduler", "wheel", "engine event store: wheel (timer wheel) or heap (reference binary heap)")
 	feeder := flag.String("feeder", "batched", "trace delivery: batched (cursor feeder) or per-event")
@@ -119,38 +97,13 @@ func realMain() int {
 	replayGroups := flag.Int("replay-groups", 2, "PL popularity groups for -replay (0 = DMA-TA only)")
 	flag.Parse()
 
-	if err := validateConcurrency(*parallel, *workers); err != nil {
-		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-		return 2
-	}
-	if err := validateEpoch(*epoch, *fixedEpoch, *workers, *parallelBench != ""); err != nil {
+	if err := validateConcurrency(*parallel); err != nil {
 		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
 		return 2
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *parallelBench != "" {
-		res, err := experiments.ParallelBench(ctx, experiments.ParallelBenchSpec{
-			Seed: *seed, Epoch: fromStd(*epoch),
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-			return 1
-		}
-		doc, err := res.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*parallelBench, doc, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-			return 1
-		}
-		fmt.Print(experiments.FormatParallelBench(res))
-		return 0
-	}
 
 	if *replayFile != "" {
 		out, err := experiments.ReplayFile(ctx, *replayFile, *replayCP, *replayGroups)
@@ -217,9 +170,6 @@ func realMain() int {
 	s := experiments.NewSuite(fromStd(*duration), *seed)
 	s.DbDuration = fromStd(*dbDuration)
 	s.Runner = runner
-	s.Workers = engineWorkers(*workers)
-	s.BarrierEpoch = fromStd(*epoch)
-	s.FixedEpoch = *fixedEpoch
 	switch *scheduler {
 	case "wheel":
 	case "heap":
@@ -432,49 +382,14 @@ func fromStd(d time.Duration) sim.Duration {
 	return sim.Duration(d.Nanoseconds()) * sim.Nanosecond
 }
 
-// validateConcurrency rejects non-positive -parallel/-workers values
-// up front: both are goroutine counts, and 0 or a negative count would
-// otherwise surface as a hang (a runner with no workers) or as a
-// confusing core error deep inside the first figure.
-func validateConcurrency(parallel, workers int) error {
+// validateConcurrency rejects a non-positive -parallel up front: it is
+// a goroutine count, and 0 or a negative count would otherwise surface
+// as a hang (a runner with no workers).
+func validateConcurrency(parallel int) error {
 	if parallel <= 0 {
 		return fmt.Errorf("-parallel %d must be at least 1 (goroutines fanning out independent runs)", parallel)
 	}
-	if workers <= 0 {
-		return fmt.Errorf("-workers %d must be at least 1 (1 selects the serial reference engine)", workers)
-	}
 	return nil
-}
-
-// validateEpoch rejects a negative -epoch and barrier flags without
-// the parallel engine: the barrier period and elision mode only exist
-// when -workers selects it, so silently ignoring them would misreport
-// what ran. -parallel-bench sweeps its own worker grid and takes
-// -epoch directly, so it lifts the -workers pairing.
-func validateEpoch(epoch time.Duration, fixed bool, workers int, bench bool) error {
-	if epoch < 0 {
-		return fmt.Errorf("-epoch %v must be nonnegative (0 selects the default 50us)", epoch)
-	}
-	if bench {
-		return nil
-	}
-	if epoch > 0 && workers <= 1 {
-		return fmt.Errorf("-epoch %v needs the parallel engine (-workers > 1); the serial engine has no barrier period", epoch)
-	}
-	if fixed && workers <= 1 {
-		return fmt.Errorf("-fixed-epoch needs the parallel engine (-workers > 1)")
-	}
-	return nil
-}
-
-// engineWorkers maps the -workers flag onto core.Config.Workers: 1
-// keeps the default serial reference engine, higher counts select the
-// epoch-barrier parallel engine with that many event-loop goroutines.
-func engineWorkers(workers int) int {
-	if workers <= 1 {
-		return 0
-	}
-	return workers
 }
 
 // parseChannels turns the -channels flag into the GridSpec.Channels

@@ -3,76 +3,34 @@ package main
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"dmamem/internal/experiments"
 )
 
-// TestValidateConcurrency pins the rejection of non-positive
-// -parallel/-workers values and the wording the user sees: the flag
-// name, the bad value, and what the minimum means.
+// TestValidateConcurrency pins the rejection of a non-positive
+// -parallel and the wording the user sees: the flag name, the bad
+// value, and what the minimum means.
 func TestValidateConcurrency(t *testing.T) {
 	cases := []struct {
-		parallel, workers int
-		wantErr           string
+		parallel int
+		wantErr  string
 	}{
-		{1, 1, ""},
-		{8, 4, ""},
-		{0, 1, "-parallel 0 must be at least 1"},
-		{-3, 1, "-parallel -3 must be at least 1"},
-		{1, 0, "-workers 0 must be at least 1"},
-		{1, -2, "-workers -2 must be at least 1"},
-		// -parallel is checked first when both are bad.
-		{0, 0, "-parallel 0 must be at least 1"},
+		{1, ""},
+		{8, ""},
+		{0, "-parallel 0 must be at least 1"},
+		{-3, "-parallel -3 must be at least 1"},
 	}
 	for _, tc := range cases {
-		err := validateConcurrency(tc.parallel, tc.workers)
+		err := validateConcurrency(tc.parallel)
 		if tc.wantErr == "" {
 			if err != nil {
-				t.Errorf("validateConcurrency(%d, %d) = %v, want nil", tc.parallel, tc.workers, err)
+				t.Errorf("validateConcurrency(%d) = %v, want nil", tc.parallel, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("validateConcurrency(%d, %d) = %v, want error containing %q",
-				tc.parallel, tc.workers, err, tc.wantErr)
-		}
-	}
-}
-
-// TestValidateEpoch pins the barrier flags' guard rails: negative
-// -epoch is always rejected; -epoch/-fixed-epoch without the parallel
-// engine are rejected instead of silently ignored, except under
-// -parallel-bench, which sweeps its own worker grid.
-func TestValidateEpoch(t *testing.T) {
-	cases := []struct {
-		epoch   time.Duration
-		fixed   bool
-		workers int
-		bench   bool
-		wantErr string
-	}{
-		{0, false, 1, false, ""},
-		{50 * time.Microsecond, false, 2, false, ""},
-		{time.Millisecond, true, 8, false, ""},
-		{50 * time.Microsecond, false, 1, true, ""}, // -parallel-bench takes -epoch alone
-		{-time.Microsecond, false, 4, false, "must be nonnegative"},
-		{-time.Microsecond, false, 1, true, "must be nonnegative"},
-		{50 * time.Microsecond, false, 1, false, "needs the parallel engine"},
-		{0, true, 1, false, "-fixed-epoch needs the parallel engine"},
-	}
-	for _, tc := range cases {
-		err := validateEpoch(tc.epoch, tc.fixed, tc.workers, tc.bench)
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("validateEpoch(%v, %v, %d, %v) = %v, want nil",
-					tc.epoch, tc.fixed, tc.workers, tc.bench, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("validateEpoch(%v, %v, %d, %v) = %v, want error containing %q",
-				tc.epoch, tc.fixed, tc.workers, tc.bench, err, tc.wantErr)
+			t.Errorf("validateConcurrency(%d) = %v, want error containing %q",
+				tc.parallel, err, tc.wantErr)
 		}
 	}
 }
@@ -99,16 +57,5 @@ func TestTechFlagParsing(t *testing.T) {
 	if _, err := experiments.ParseTechList("rdram,rdram-1600"); err == nil ||
 		!strings.Contains(err.Error(), "duplicates") {
 		t.Fatalf("alias duplicate error: %v", err)
-	}
-}
-
-// TestEngineWorkers pins the flag→config mapping: -workers 1 is the
-// serial reference engine (core Workers 0, the default), higher counts
-// pass through to the parallel engine.
-func TestEngineWorkers(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{{1, 0}, {2, 2}, {4, 4}} {
-		if got := engineWorkers(tc.in); got != tc.want {
-			t.Errorf("engineWorkers(%d) = %d, want %d", tc.in, got, tc.want)
-		}
 	}
 }

@@ -84,6 +84,14 @@ func run(args []string, ready func(addr string)) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Both are goroutine counts; a non-positive value would otherwise
+	// be replaced by a default the startup log does not report.
+	if *workers <= 0 {
+		return fmt.Errorf("-workers %d must be at least 1 (job-execution worker fleet size)", *workers)
+	}
+	if *pointParallel <= 0 {
+		return fmt.Errorf("-point-parallel %d must be at least 1 (goroutines per in-process grid job)", *pointParallel)
+	}
 
 	tw, err := parseWeights(*weights)
 	if err != nil {

@@ -39,6 +39,17 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-listen", "127.0.0.1:notaport"}, nil); err == nil {
 		t.Error("run accepted an unresolvable listen address")
 	}
+	// The bad listen address keeps a missing check from starting a
+	// daemon; the error must name the count flag, not the address.
+	for _, bad := range [][]string{
+		{"-workers", "0"}, {"-workers", "-1"},
+		{"-point-parallel", "0"}, {"-point-parallel", "-2"},
+	} {
+		args := append(bad, "-listen", "127.0.0.1:notaport")
+		if err := run(args, nil); err == nil || !strings.Contains(err.Error(), bad[0]+" "+bad[1]+" must be at least 1") {
+			t.Errorf("run(%v) = %v, want a %s rejection", args, err, bad[0])
+		}
+	}
 }
 
 // TestRunEndToEnd drives the real daemon entrypoint: run() on an

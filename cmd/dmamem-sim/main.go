@@ -16,11 +16,6 @@
 //	  -groups 2          popularity groups for PL
 //	  -compare           also run the baseline and report savings
 //	  -parallel N        run the baseline and technique concurrently
-//	  -workers N         event-loop goroutines inside each simulation
-//	                     (1 = serial reference engine; byte-identical
-//	                     reports at any count)
-//	  -epoch 50us        barrier period of the parallel engine (with
-//	                     -workers > 1); reports do not depend on it
 //	  -channels N        memory channels (0 = legacy single-channel)
 //	  -stripe-pages N    pages per channel stripe (with -channels)
 //	  -channel-bw B      per-channel bandwidth cap, bytes/s (with -channels)
@@ -63,16 +58,11 @@ func main() {
 	compare := flag.Bool("compare", true, "also run the baseline and report savings")
 	jsonOut := flag.Bool("json", false, "emit the report(s) as JSON")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the -compare pair (1 = sequential)")
-	workers := flag.Int("workers", 1, "event-loop goroutines inside each simulation (1 = serial reference engine)")
-	epoch := flag.Duration("epoch", 0, "barrier period of the parallel engine (0 = default 50us; needs -workers > 1)")
 	shardWorker := flag.Bool("shard-worker", false, "serve one sweep-shard session on stdin/stdout and exit")
 	shardListen := flag.String("shard-listen", "", "serve sweep-shard sessions on this TCP address until interrupted")
 	flag.Parse()
 
-	if err := validateConcurrency(*parallel, *workers); err != nil {
-		fatal(err)
-	}
-	if err := validateEpoch(*epoch, *workers); err != nil {
+	if err := validateConcurrency(*parallel); err != nil {
 		fatal(err)
 	}
 	tech, err := parseTech(*techFlag)
@@ -100,7 +90,6 @@ func main() {
 	s := dmamem.Simulation{
 		CPLimit: *cpLimit, PLGroups: *groups, MemoryTech: tech,
 		Channels: *channels, ChannelStripePages: *stripePages, ChannelBandwidth: *channelBW,
-		Workers: engineWorkers(*workers), BarrierEpoch: *epoch,
 	}
 	var tr *dmamem.Trace
 	if *traceFile != "" && isDMT(*traceFile) {
@@ -210,29 +199,12 @@ func loadTrace(file, workload string, d time.Duration, seed uint64) (*dmamem.Tra
 	return nil, fmt.Errorf("unknown workload %q", workload)
 }
 
-// validateConcurrency rejects non-positive -parallel/-workers values
-// up front: both are goroutine counts, and 0 or a negative count would
-// otherwise hang the -compare pair or surface as a confusing core
-// error mid-run.
-func validateConcurrency(parallel, workers int) error {
+// validateConcurrency rejects a non-positive -parallel up front: it
+// is a goroutine count, and 0 or a negative count would otherwise hang
+// the -compare pair.
+func validateConcurrency(parallel int) error {
 	if parallel <= 0 {
 		return fmt.Errorf("-parallel %d must be at least 1 (goroutines for the -compare pair)", parallel)
-	}
-	if workers <= 0 {
-		return fmt.Errorf("-workers %d must be at least 1 (1 selects the serial reference engine)", workers)
-	}
-	return nil
-}
-
-// validateEpoch rejects a negative -epoch and an -epoch without the
-// parallel engine: the barrier period only exists when -workers
-// selects it, so silently ignoring the flag would misreport what ran.
-func validateEpoch(epoch time.Duration, workers int) error {
-	if epoch < 0 {
-		return fmt.Errorf("-epoch %v must be nonnegative (0 selects the default 50us)", epoch)
-	}
-	if epoch > 0 && workers <= 1 {
-		return fmt.Errorf("-epoch %v needs the parallel engine (-workers > 1); the serial engine has no barrier period", epoch)
 	}
 	return nil
 }
@@ -253,16 +225,6 @@ func parseTech(s string) (string, error) {
 		return techs[0], nil
 	}
 	return "", fmt.Errorf("-tech %q names %d technologies; dmamem-sim runs one (dmamem-bench -tech sweeps lists)", s, len(techs))
-}
-
-// engineWorkers maps the -workers flag onto Simulation.Workers: 1
-// keeps the default serial reference engine, higher counts select the
-// epoch-barrier parallel engine with that many event-loop goroutines.
-func engineWorkers(workers int) int {
-	if workers <= 1 {
-		return 0
-	}
-	return workers
 }
 
 func fatal(err error) {

@@ -3,67 +3,32 @@ package main
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
-// TestValidateConcurrency pins the rejection of non-positive
-// -parallel/-workers values and the wording the user sees: the flag
-// name, the bad value, and what the minimum means.
+// TestValidateConcurrency pins the rejection of a non-positive
+// -parallel and the wording the user sees: the flag name, the bad
+// value, and what the minimum means.
 func TestValidateConcurrency(t *testing.T) {
 	cases := []struct {
-		parallel, workers int
-		wantErr           string
+		parallel int
+		wantErr  string
 	}{
-		{1, 1, ""},
-		{8, 4, ""},
-		{0, 1, "-parallel 0 must be at least 1"},
-		{-1, 1, "-parallel -1 must be at least 1"},
-		{1, 0, "-workers 0 must be at least 1"},
-		{1, -4, "-workers -4 must be at least 1"},
-		{-1, -1, "-parallel -1 must be at least 1"},
+		{1, ""},
+		{8, ""},
+		{0, "-parallel 0 must be at least 1"},
+		{-1, "-parallel -1 must be at least 1"},
 	}
 	for _, tc := range cases {
-		err := validateConcurrency(tc.parallel, tc.workers)
+		err := validateConcurrency(tc.parallel)
 		if tc.wantErr == "" {
 			if err != nil {
-				t.Errorf("validateConcurrency(%d, %d) = %v, want nil", tc.parallel, tc.workers, err)
+				t.Errorf("validateConcurrency(%d) = %v, want nil", tc.parallel, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("validateConcurrency(%d, %d) = %v, want error containing %q",
-				tc.parallel, tc.workers, err, tc.wantErr)
-		}
-	}
-}
-
-// TestValidateEpoch pins the -epoch flag's guard rails: negative
-// periods are rejected outright, and a positive period without the
-// parallel engine is rejected instead of silently ignored.
-func TestValidateEpoch(t *testing.T) {
-	cases := []struct {
-		epoch   time.Duration
-		workers int
-		wantErr string
-	}{
-		{0, 1, ""},
-		{0, 4, ""},
-		{50 * time.Microsecond, 2, ""},
-		{time.Millisecond, 8, ""},
-		{-time.Microsecond, 4, "must be nonnegative"},
-		{50 * time.Microsecond, 1, "needs the parallel engine"},
-	}
-	for _, tc := range cases {
-		err := validateEpoch(tc.epoch, tc.workers)
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("validateEpoch(%v, %d) = %v, want nil", tc.epoch, tc.workers, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("validateEpoch(%v, %d) = %v, want error containing %q",
-				tc.epoch, tc.workers, err, tc.wantErr)
+			t.Errorf("validateConcurrency(%d) = %v, want error containing %q",
+				tc.parallel, err, tc.wantErr)
 		}
 	}
 }
@@ -95,17 +60,6 @@ func TestParseTech(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("parseTech(%q) = %v, want error containing %q", tc.in, err, tc.wantErr)
-		}
-	}
-}
-
-// TestEngineWorkers pins the flag→config mapping: -workers 1 keeps
-// Simulation.Workers at 0 (the serial reference engine), higher counts
-// pass through to the parallel engine.
-func TestEngineWorkers(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{{1, 0}, {2, 2}, {8, 8}} {
-		if got := engineWorkers(tc.in); got != tc.want {
-			t.Errorf("engineWorkers(%d) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }

@@ -153,23 +153,6 @@ type Simulation struct {
 	// running the same records from memory. Setting both a trace and
 	// TraceFile is an error.
 	TraceFile string
-	// Workers selects the parallel barrier engine: zero keeps the
-	// legacy serial event loop; any positive value runs one event loop
-	// per channel under deterministic epoch barriers, executed by at
-	// most Workers goroutines. Reports are independent of the worker
-	// count; on a single channel they are additionally bit-identical to
-	// the serial engine. Every technique runs on multi-channel parallel
-	// topologies, including TemporalAlignmentWithLayout — the layout's
-	// global state is observed and rebalanced at epoch barriers.
-	// Negative values are rejected.
-	Workers int
-	// BarrierEpoch is the parallel engine's barrier period in
-	// simulated time (only meaningful with Workers set). Zero selects
-	// the default 50 us. Reports do not depend on it — the adaptive
-	// barrier elides provably idle boundaries, so a longer epoch only
-	// changes wall-clock speed. Exposed as -epoch on dmamem-sim and
-	// dmamem-bench. Negative values are rejected.
-	BarrierEpoch time.Duration
 }
 
 // Validate checks every field against its legal range and returns a
@@ -221,12 +204,6 @@ func (s Simulation) Validate() error {
 	if (s.ChannelStripePages != 0 || s.ChannelBandwidth != 0) && s.Channels == 0 {
 		return fmt.Errorf("dmamem: ChannelStripePages/ChannelBandwidth need Channels set")
 	}
-	if s.Workers < 0 {
-		return fmt.Errorf("dmamem: negative Workers %d; 0 selects the serial engine", s.Workers)
-	}
-	if s.BarrierEpoch < 0 {
-		return fmt.Errorf("dmamem: negative BarrierEpoch %v; 0 selects the default 50us", s.BarrierEpoch)
-	}
 	if s.Channels != 0 {
 		topo := memsys.Topology{
 			Channels:         s.Channels,
@@ -246,8 +223,6 @@ func (s Simulation) coreConfig() (core.Config, error) {
 		return cfg, err
 	}
 	cfg.TraceFile = s.TraceFile
-	cfg.Workers = s.Workers
-	cfg.BarrierEpoch = sim.Duration(s.BarrierEpoch.Nanoseconds()) * sim.Nanosecond
 	if s.Buses != 0 || s.BusBandwidth != 0 {
 		bc := bus.DefaultConfig()
 		if s.Buses != 0 {

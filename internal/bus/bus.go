@@ -123,22 +123,6 @@ func NewAllocator(busCap []float64, chipCap float64) *Allocator {
 	}
 }
 
-// SetBusCaps replaces the per-bus capacities in place. The slice length
-// must match the allocator's bus count; values must be positive. The
-// barrier engine uses this at epoch boundaries to hand each channel
-// partition its share of the shared I/O buses.
-func (a *Allocator) SetBusCaps(caps []float64) {
-	if len(caps) != len(a.busCap) {
-		panic(fmt.Sprintf("bus: SetBusCaps got %d capacities for %d buses", len(caps), len(a.busCap)))
-	}
-	for i, c := range caps {
-		if c <= 0 {
-			panic(fmt.Sprintf("bus: bus %d capacity %g", i, c))
-		}
-	}
-	copy(a.busCap, caps)
-}
-
 // SetChannels adds a per-channel capacity constraint: flow rates into
 // the chips of channel c additionally satisfy sum <= channelCap[c],
 // with channelOf mapping each chip index to its channel. Passing a nil

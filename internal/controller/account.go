@@ -61,7 +61,7 @@ const (
 func (c *Controller) accountAll(now sim.Time) {
 	if c.fullScan {
 		for _, cs := range c.chips {
-			if cs == nil || !cs.chip.Resident() || cs.chip.State() != energy.Active {
+			if !cs.chip.Resident() || cs.chip.State() != energy.Active {
 				continue
 			}
 			c.accountChip(cs, now)
@@ -241,7 +241,6 @@ func (c *Controller) recompute(now sim.Time) {
 		}
 	}
 	c.complEvt = c.eng.SchedulePrio(next, prioCompletion, c.onCompletionFn)
-	c.complAt = next
 }
 
 // onCompletion fires when the earliest flow drains.

@@ -19,16 +19,7 @@ func (c *Controller) scheduleWake(cs *chipState, now sim.Time) {
 	cs.wakePending = true
 	c.cancelPolicyTimer(cs)
 	if cs.idleSince > 0 {
-		// Timed observers (the parallel core's per-partition recorders)
-		// also receive the instant the gap closed, so observations from
-		// different partitions can be merged in global time order at the
-		// next barrier; plain observers get the serial-path call exactly
-		// as before.
-		switch obs := c.cfg.Policy.(type) {
-		case policy.TimedGapObserver:
-			obs.ObserveGapAt(now, now.Sub(cs.idleSince))
-			cs.idleSince = 0
-		case policy.GapObserver:
+		if obs, ok := c.cfg.Policy.(policy.GapObserver); ok {
 			obs.ObserveGap(now.Sub(cs.idleSince))
 			cs.idleSince = 0
 		}
@@ -196,10 +187,6 @@ func (c *Controller) chargeWake(cs *chipState) {
 func (c *Controller) ProcAccess(page memsys.PageID) {
 	now := c.eng.Now()
 	cs := c.chips[c.mapper.ChipOf(page)]
-	if cs == nil {
-		panic(fmt.Sprintf("controller: processor access to page %d on chip %d owned by another partition",
-			page, c.mapper.ChipOf(page)))
-	}
 	c.procAccesses++
 	if cs.chip.Resident() && cs.chip.State() == energy.Active {
 		// Joining the dirty set settles the chip's idle backlog up to

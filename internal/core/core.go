@@ -100,45 +100,6 @@ type Config struct {
 	// running the same records from memory. Mutually exclusive with a
 	// non-nil trace and with PerEventFeeder.
 	TraceFile string
-	// Workers selects the parallel barrier engine: zero (the default)
-	// runs the legacy serial event loop; any positive value runs one
-	// event loop per topology channel, executed by at most Workers
-	// goroutines in deterministic epoch-barrier lockstep (see
-	// internal/sim's BarrierEngine and docs/ARCHITECTURE.md). Reports
-	// are independent of the worker count by construction; with a
-	// single channel they are additionally bit-identical to the serial
-	// engine's. Multi-channel runs support every scheme, including PL
-	// and gap-observing adaptive policies (the policy must be
-	// policy.Replicable): layout rebalances and gap merges execute in
-	// the barrier's epoch-synchronized observation stage, and each
-	// channel-homogeneous piece of a channel-spanning DMA record counts
-	// as its own transfer. Setting Workers with a single-channel
-	// topology is accepted, not an error: there is only one shard, so
-	// extra workers stay idle, and the adaptive barrier collapses the
-	// whole run into one span, making the barrier overhead negligible
-	// (a test pins the accepted-and-bit-identical behavior; FixedEpoch
-	// restores per-epoch chunking if you want to measure it).
-	// Incompatible with PerEventFeeder.
-	Workers int
-	// BarrierEpoch is the parallel engine's barrier period in simulated
-	// time; zero means 50 us. Smaller epochs exchange bus shares more
-	// often (closer to the serial allocator's event-granular coupling);
-	// larger epochs synchronize less and run faster. Exposed as -epoch
-	// on dmamem-bench and dmamem-sim.
-	BarrierEpoch sim.Duration
-	// FixedEpoch disables the adaptive barrier: every epoch boundary is
-	// a full rendezvous, exactly the pre-adaptive engine. Kept as the
-	// bit-identical cross-check reference for barrier elision and
-	// dynamic span sizing — the adaptive engine only skips boundaries
-	// it can prove are no-ops, so reports match this mode exactly.
-	FixedEpoch bool
-	// MaxEpochSpan caps how many consecutive epochs the adaptive
-	// barrier may cover in one elided span (it bounds the per-span
-	// trace-staging buffers). Zero means 256; 1 behaves like
-	// FixedEpoch; negative errors. The effective span width adapts
-	// between 1 and this ceiling with re-split churn and measured
-	// barrier stall.
-	MaxEpochSpan int
 }
 
 // resolveModel turns the Tech / MemSpec selection into the technology
@@ -345,10 +306,6 @@ func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, erro
 		ccfg.Layout = lm
 	}
 
-	if cfg.Workers > 0 {
-		return finishParallel(ctx, cfg, tr, ccfg, lm, res)
-	}
-
 	eng := sim.New()
 	if cfg.HeapScheduler {
 		eng = sim.NewWithHeap()
@@ -440,7 +397,6 @@ type traceFeeder struct {
 	ctl     *controller.Controller
 	records []trace.Record
 	idx     int
-	dmaIdx  int
 	nextID  int64
 }
 
@@ -467,29 +423,6 @@ func (f *traceFeeder) Fire(e *sim.Engine) {
 			f.ctl.ProcAccess(r.Page)
 		}
 	}
-}
-
-// nextRelevant reports the earliest undelivered record — every kind,
-// or DMA records only — for the adaptive barrier's cross lookahead.
-// The DMA scan cursor is monotone, so repeated probes cost amortized
-// O(1) over the run.
-func (f *traceFeeder) nextRelevant(dmaOnly bool) (sim.Time, bool) {
-	if f.idx >= len(f.records) {
-		return 0, false
-	}
-	if !dmaOnly {
-		return f.records[f.idx].Time, true
-	}
-	if f.dmaIdx < f.idx {
-		f.dmaIdx = f.idx
-	}
-	for f.dmaIdx < len(f.records) && !f.records[f.dmaIdx].Kind.IsDMA() {
-		f.dmaIdx++
-	}
-	if f.dmaIdx >= len(f.records) {
-		return 0, false
-	}
-	return f.records[f.dmaIdx].Time, true
 }
 
 // feed is the reference arrival path (Config.PerEventFeeder): trace

@@ -89,10 +89,6 @@ func runFileContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	if cfg.Workers > 0 {
-		return finishParallelFile(ctx, cfg, fr, sum, ccfg, lm, res)
-	}
-
 	eng := sim.New()
 	if cfg.HeapScheduler {
 		eng = sim.NewWithHeap()

@@ -168,3 +168,102 @@ func TestRunFileErrors(t *testing.T) {
 		t.Fatal("truncated container accepted")
 	}
 }
+
+// dbTrace returns a short Synthetic-Db trace shared by tests.
+func dbTrace(t *testing.T, d sim.Duration) *trace.Trace {
+	t.Helper()
+	w, err := SyntheticDbWorkload(d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Trace
+}
+
+// TestFileErrorWordingMatchesMemory pins error parity: the two trace
+// paths must return character-identical errors on the same
+// malformed records, including when a trace-level violation (checked
+// first in-memory, across the whole trace) coexists with an earlier
+// page-range violation.
+func TestFileErrorWordingMatchesMemory(t *testing.T) {
+	maxPage := memsys.PageID(memsys.Default().TotalPages())
+	cases := []struct {
+		name string
+		tr   *trace.Trace
+	}{
+		{"zero-page after range violation", &trace.Trace{Name: "mixed", Records: []trace.Record{
+			{Time: 0, Kind: trace.DMARead, Pages: 4, Page: maxPage - 1},
+			{Time: 1, Kind: trace.DMARead, Pages: 0, Page: 0},
+		}}},
+		{"range violation only", &trace.Trace{Name: "oob", Records: []trace.Record{
+			{Time: 0, Kind: trace.DMARead, Pages: 2, Page: 5},
+			{Time: 3, Kind: trace.DMAWrite, Pages: 8, Page: maxPage - 2},
+		}}},
+		{"zero-page only", &trace.Trace{Name: "zdma", Records: []trace.Record{
+			{Time: 0, Kind: trace.DMARead, Pages: 2, Page: 0},
+			{Time: 2, Kind: trace.DMAWrite, Pages: 0, Page: 9},
+		}}},
+	}
+	for _, tc := range cases {
+		_, memErr := Run(Config{}, tc.tr)
+		if memErr == nil {
+			t.Fatalf("%s: in-memory run accepted malformed trace", tc.name)
+		}
+		_, fileErr := Run(Config{TraceFile: saveDMT(t, tc.tr, 64)}, nil)
+		if fileErr == nil {
+			t.Fatalf("%s: file-backed run accepted malformed trace", tc.name)
+		}
+		if memErr.Error() != fileErr.Error() {
+			t.Errorf("%s: error wording diverges\nmem:  %s\nfile: %s", tc.name, memErr, fileErr)
+		}
+	}
+}
+
+// TestWarmupFractionCrossPath pins warm-up parity: warm-up counts must
+// truncate identically on both paths at fractional values,
+// keeping reports bit-identical; out-of-range fractions fail loudly
+// with the same wording instead of panicking (in-memory) or silently
+// warming everything (file).
+func TestWarmupFractionCrossPath(t *testing.T) {
+	traces := map[string]*trace.Trace{
+		"Synthetic-St": stTrace(t, 5*sim.Millisecond),
+		"Synthetic-Db": dbTrace(t, 5*sim.Millisecond),
+	}
+	for wname, tr := range traces {
+		path := saveDMT(t, tr, 512)
+		for _, frac := range []float64{0.1, 0.33, 0.5} {
+			cfg := Config{
+				TA: controller.DefaultTA(0), CPLimit: 0.10, PL: plCfg(2),
+				WarmupFraction: frac,
+			}
+			mem, err := Run(cfg, tr)
+			if err != nil {
+				t.Fatalf("%s frac=%g in-memory: %v", wname, frac, err)
+			}
+			fcfg := cfg
+			fcfg.TraceFile = path
+			file, err := Run(fcfg, nil)
+			if err != nil {
+				t.Fatalf("%s frac=%g file: %v", wname, frac, err)
+			}
+			if !reflect.DeepEqual(mem, file) {
+				t.Errorf("%s frac=%g: file-backed result differs from in-memory", wname, frac)
+			}
+		}
+		for _, frac := range []float64{-0.5, 1.5} {
+			cfg := Config{PL: plCfg(2), WarmupFraction: frac}
+			_, memErr := Run(cfg, tr)
+			fcfg := cfg
+			fcfg.TraceFile = path
+			_, fileErr := Run(fcfg, nil)
+			if memErr == nil || fileErr == nil {
+				t.Fatalf("%s frac=%g accepted (mem=%v file=%v)", wname, frac, memErr, fileErr)
+			}
+			if memErr.Error() != fileErr.Error() {
+				t.Errorf("%s frac=%g: rejection wording diverges\nmem:  %s\nfile: %s", wname, frac, memErr, fileErr)
+			}
+			if !strings.Contains(memErr.Error(), "WarmupFraction") {
+				t.Errorf("%s frac=%g: unclear rejection %q", wname, frac, memErr)
+			}
+		}
+	}
+}

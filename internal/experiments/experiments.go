@@ -49,20 +49,6 @@ type Suite struct {
 	// all four combinations to that.
 	HeapScheduler  bool
 	PerEventFeeder bool
-	// Workers propagates core.Config.Workers to every simulation the
-	// suite runs: 0 keeps the serial reference engine, a positive count
-	// selects the epoch-barrier parallel engine. Golden-corpus results
-	// are bit-identical either way; the parallel cross-check test holds
-	// every worker count to that.
-	Workers int
-	// BarrierEpoch and FixedEpoch propagate the parallel engine's
-	// barrier period and adaptive-elision kill switch (core.Config
-	// fields of the same names) to every simulation the suite runs.
-	// Both only matter when Workers selects the parallel engine, and
-	// neither changes results — the adaptive-vs-fixed cross-check test
-	// holds every combination to bit-identity.
-	BarrierEpoch sim.Duration
-	FixedEpoch   bool
 
 	mu        sync.Mutex
 	cache     map[string]*cacheEntry
@@ -167,9 +153,6 @@ func (s *Suite) generate(name string) (*trace.Trace, error) {
 func (s *Suite) run(ctx context.Context, cfg core.Config, tr *trace.Trace) (*core.Result, error) {
 	cfg.HeapScheduler = s.HeapScheduler
 	cfg.PerEventFeeder = s.PerEventFeeder
-	cfg.Workers = s.Workers
-	cfg.BarrierEpoch = s.BarrierEpoch
-	cfg.FixedEpoch = s.FixedEpoch
 	return core.RunContext(ctx, cfg, tr)
 }
 
@@ -179,9 +162,6 @@ func (s *Suite) run(ctx context.Context, cfg core.Config, tr *trace.Trace) (*cor
 func (s *Suite) runPair(ctx context.Context, base, tech core.Config, tr *trace.Trace) (savings float64, events uint64, err error) {
 	base.HeapScheduler, tech.HeapScheduler = s.HeapScheduler, s.HeapScheduler
 	base.PerEventFeeder, tech.PerEventFeeder = s.PerEventFeeder, s.PerEventFeeder
-	base.Workers, tech.Workers = s.Workers, s.Workers
-	base.BarrierEpoch, tech.BarrierEpoch = s.BarrierEpoch, s.BarrierEpoch
-	base.FixedEpoch, tech.FixedEpoch = s.FixedEpoch, s.FixedEpoch
 	b, t, savings, err := core.RunBaselinePairParallel(ctx, base, tech, tr, 1)
 	if err != nil {
 		return 0, 0, err

@@ -111,7 +111,6 @@ func TestReportSpecNormalizeErrors(t *testing.T) {
 		{"one pl group", ReportSpec{Workload: "OLTP-St", Scheme: "dma-ta-pl", PLGroups: 1}, "hot and a cold group"},
 		{"negative pl groups", ReportSpec{Workload: "OLTP-St", Scheme: "dma-ta-pl", PLGroups: -2}, "out of range"},
 		{"unknown tech", ReportSpec{Workload: "OLTP-St", Tech: "sram"}, "unknown memory technology"},
-		{"negative workers", ReportSpec{Workload: "OLTP-St", Workers: -1}, "negative Workers"},
 		{"negative duration", ReportSpec{Workload: "OLTP-St", Suite: SuiteSpec{Duration: -1}}, "negative trace duration"},
 	}
 	for _, tc := range cases {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,55 +10,51 @@ import (
 
 // TestRegistryRDRAMBitIdentical proves the registry "rdram" backend is
 // bit-identical to the legacy energy.Spec path over the full golden
-// corpus — every Table 2 workload and scheme — on both the serial
-// reference engine and the 4-worker epoch-barrier engine. Three
-// configurations per point must produce reflect.DeepEqual reports:
-// the explicit legacy spec (core.Config.MemSpec), the registry name
-// (core.Config.Tech = "rdram"), and the zero value (paper defaults).
+// corpus — every Table 2 workload and scheme. Three configurations per
+// point must produce reflect.DeepEqual reports: the explicit legacy
+// spec (core.Config.MemSpec), the registry name (core.Config.Tech =
+// "rdram"), and the zero value (paper defaults).
 func TestRegistryRDRAMBitIdentical(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		s := goldenSuite()
-		s.Workers = workers
-		for _, name := range workloadNames {
-			tr, err := s.workload(name)
-			if err != nil {
-				t.Fatalf("workload %s: %v", name, err)
-			}
-			window := tr.Duration() + 2*sim.Millisecond
-			for _, sc := range goldenSchemes() {
-				sc := sc
-				t.Run(fmt.Sprintf("workers=%d/%s/%s", workers, name, sc.label), func(t *testing.T) {
-					legacy := sc.cfg
-					legacy.MemSpec = energy.RDRAM1600()
-					legacy.MeterWindow = window
-					reg := sc.cfg
-					reg.Tech = "rdram"
-					reg.MeterWindow = window
-					def := sc.cfg
-					def.MeterWindow = window
+	s := goldenSuite()
+	for _, name := range workloadNames {
+		tr, err := s.workload(name)
+		if err != nil {
+			t.Fatalf("workload %s: %v", name, err)
+		}
+		window := tr.Duration() + 2*sim.Millisecond
+		for _, sc := range goldenSchemes() {
+			sc := sc
+			t.Run(name+"/"+sc.label, func(t *testing.T) {
+				legacy := sc.cfg
+				legacy.MemSpec = energy.RDRAM1600()
+				legacy.MeterWindow = window
+				reg := sc.cfg
+				reg.Tech = "rdram"
+				reg.MeterWindow = window
+				def := sc.cfg
+				def.MeterWindow = window
 
-					lr, err := s.run(ctx, legacy, tr)
-					if err != nil {
-						t.Fatalf("legacy spec run: %v", err)
-					}
-					rr, err := s.run(ctx, reg, tr)
-					if err != nil {
-						t.Fatalf("registry run: %v", err)
-					}
-					dr, err := s.run(ctx, def, tr)
-					if err != nil {
-						t.Fatalf("default run: %v", err)
-					}
-					if !reflect.DeepEqual(lr.Report, rr.Report) {
-						t.Errorf("registry rdram drifted from the legacy spec path:\n%s",
-							diffFields("", reflect.ValueOf(rr.Report), reflect.ValueOf(lr.Report)))
-					}
-					if !reflect.DeepEqual(dr.Report, rr.Report) {
-						t.Errorf("zero-value default drifted from Tech=rdram:\n%s",
-							diffFields("", reflect.ValueOf(rr.Report), reflect.ValueOf(dr.Report)))
-					}
-				})
-			}
+				lr, err := s.run(ctx, legacy, tr)
+				if err != nil {
+					t.Fatalf("legacy spec run: %v", err)
+				}
+				rr, err := s.run(ctx, reg, tr)
+				if err != nil {
+					t.Fatalf("registry run: %v", err)
+				}
+				dr, err := s.run(ctx, def, tr)
+				if err != nil {
+					t.Fatalf("default run: %v", err)
+				}
+				if !reflect.DeepEqual(lr.Report, rr.Report) {
+					t.Errorf("registry rdram drifted from the legacy spec path:\n%s",
+						diffFields("", reflect.ValueOf(rr.Report), reflect.ValueOf(lr.Report)))
+				}
+				if !reflect.DeepEqual(dr.Report, rr.Report) {
+					t.Errorf("zero-value default drifted from Tech=rdram:\n%s",
+						diffFields("", reflect.ValueOf(rr.Report), reflect.ValueOf(dr.Report)))
+				}
+			})
 		}
 	}
 }

@@ -117,53 +117,3 @@ func medianOf(gaps []sim.Duration) sim.Duration {
 type GapObserver interface {
 	ObserveGap(gap sim.Duration)
 }
-
-// TimedGapObserver is a GapObserver variant that also receives the
-// instant the gap closed. The parallel core's per-partition gap
-// recorders implement it so observations from different channels can
-// be replayed to the master policy in global time order at epoch
-// barriers; a controller prefers it over GapObserver when both are
-// implemented.
-type TimedGapObserver interface {
-	ObserveGapAt(at sim.Time, gap sim.Duration)
-}
-
-// Replicable is implemented by gap-observing policies that can run on
-// multi-channel parallel topologies. Each channel partition serves
-// threshold queries from its own replica while the barrier merges the
-// partitions' gap observations into the master in global time order
-// and then re-syncs every replica from the master's adapted state.
-// Replicas may therefore serve thresholds that lag the master by up to
-// one barrier span — the multi-channel parallel scheme's documented
-// semantics — but the lag is a pure function of simulated time, so
-// results stay worker-count invariant.
-type Replicable interface {
-	Policy
-	// Replicate returns a fresh policy sharing the receiver's tuning
-	// parameters and current thresholds but none of its observation
-	// state.
-	Replicate() Policy
-	// SyncReplica copies the receiver's current adapted state into a
-	// policy previously returned by Replicate.
-	SyncReplica(replica Policy)
-}
-
-// Replicate implements Replicable: the replica starts from the
-// master's current thresholds with an empty observation window.
-func (p *SelfTuning) Replicate() Policy {
-	return &SelfTuning{
-		Window:  p.Window,
-		Floor:   p.Floor,
-		Ceiling: p.Ceiling,
-		current: p.current,
-	}
-}
-
-// SyncReplica implements Replicable.
-func (p *SelfTuning) SyncReplica(replica Policy) {
-	r, ok := replica.(*SelfTuning)
-	if !ok {
-		panic(fmt.Sprintf("policy: SyncReplica of %T into %T", p, replica))
-	}
-	r.current = p.current
-}

@@ -8,6 +8,7 @@ package server
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dmamem/internal/memsys"
 )
@@ -24,9 +25,9 @@ type ObjectID int32
 type BufferCache struct {
 	frames int // total frames managed
 
-	// Free-run bookkeeping: frameOwner[f] = object occupying frame f,
-	// or -1 when free.
-	frameOwner []ObjectID
+	// Free-run bookkeeping: bit f%64 of used[f/64] is set while frame
+	// f holds an object. Bits past the last frame stay clear.
+	used []uint64
 
 	// Resident objects, LRU-threaded.
 	entries map[ObjectID]*cacheEntry
@@ -54,15 +55,11 @@ func NewBufferCache(frames int) (*BufferCache, error) {
 	if frames <= 0 {
 		return nil, fmt.Errorf("server: cache of %d frames", frames)
 	}
-	c := &BufferCache{
-		frames:     frames,
-		frameOwner: make([]ObjectID, frames),
-		entries:    make(map[ObjectID]*cacheEntry),
-	}
-	for i := range c.frameOwner {
-		c.frameOwner[i] = -1
-	}
-	return c, nil
+	return &BufferCache{
+		frames:  frames,
+		used:    make([]uint64, (frames+63)/64),
+		entries: make(map[ObjectID]*cacheEntry),
+	}, nil
 }
 
 // Len returns the number of resident objects.
@@ -101,9 +98,7 @@ func (c *BufferCache) Insert(id ObjectID, pages int) memsys.PageID {
 		start, ok = c.findRun(pages)
 	}
 	e := &cacheEntry{id: id, start: start, pages: pages}
-	for f := 0; f < pages; f++ {
-		c.frameOwner[int(start)+f] = id
-	}
+	c.mark(e, true)
 	c.entries[id] = e
 	c.pushFront(e)
 	return start
@@ -145,26 +140,52 @@ func (c *BufferCache) findRun(n int) (memsys.PageID, bool) {
 				end = c.frames
 			}
 		}
-		run := 0
-		for f := start; f < end; f++ {
-			if c.frameOwner[f] == -1 {
-				run++
-				if run == n {
-					c.hint = f + 1
-					return memsys.PageID(f - n + 1), true
-				}
-			} else {
-				run = 0
+		// Jump from each free frame to the next used one: the first
+		// free stretch of n frames is the run.
+		f := c.nextFrame(start, end, false)
+		for f+n <= end {
+			u := c.nextFrame(f, f+n, true)
+			if u == f+n {
+				c.hint = f + n
+				return memsys.PageID(f), true
 			}
+			f = c.nextFrame(u, end, false)
 		}
 	}
 	return 0, false
 }
 
-func (c *BufferCache) evict(e *cacheEntry) {
-	for f := 0; f < e.pages; f++ {
-		c.frameOwner[int(e.start)+f] = -1
+// nextFrame returns the first frame in [f, end) that is used (or free,
+// when used is false), or end when there is none. It tests a word of
+// 64 frames per step, so a scan of a full cache stays cheap.
+func (c *BufferCache) nextFrame(f, end int, used bool) int {
+	for f < end {
+		w := c.used[f>>6]
+		if !used {
+			w = ^w
+		}
+		if w >>= uint(f & 63); w != 0 {
+			f += bits.TrailingZeros64(w)
+			break
+		}
+		f = (f | 63) + 1
 	}
+	return min(f, end)
+}
+
+// mark sets (used) or clears the frames of e's run.
+func (c *BufferCache) mark(e *cacheEntry, used bool) {
+	for f := int(e.start); f < int(e.start)+e.pages; f++ {
+		if used {
+			c.used[f>>6] |= 1 << uint(f&63)
+		} else {
+			c.used[f>>6] &^= 1 << uint(f&63)
+		}
+	}
+}
+
+func (c *BufferCache) evict(e *cacheEntry) {
+	c.mark(e, false)
 	c.unlink(e)
 	delete(c.entries, e.id)
 	c.Evictions++
@@ -206,29 +227,23 @@ func (c *BufferCache) pushFront(e *cacheEntry) {
 
 // checkInvariants verifies internal consistency; tests call it.
 func (c *BufferCache) checkInvariants() error {
-	owned := 0
-	for f, id := range c.frameOwner {
-		if id == -1 {
-			continue
-		}
-		owned++
-		e, ok := c.entries[id]
-		if !ok {
-			return fmt.Errorf("frame %d owned by nonresident object %d", f, id)
-		}
-		if f < int(e.start) || f >= int(e.start)+e.pages {
-			return fmt.Errorf("frame %d outside run of object %d", f, id)
-		}
-	}
-	listed := 0
-	seen := map[ObjectID]bool{}
+	owner := make(map[int]ObjectID)
+	listed, pages := 0, 0
 	for e := c.head; e != nil; e = e.next {
-		if seen[e.id] {
-			return fmt.Errorf("object %d appears twice in LRU list", e.id)
+		if c.entries[e.id] != e {
+			return fmt.Errorf("object %d in LRU list is not the resident entry", e.id)
 		}
-		seen[e.id] = true
 		listed++
-		owned -= e.pages
+		pages += e.pages
+		for f := int(e.start); f < int(e.start)+e.pages; f++ {
+			if prev, ok := owner[f]; ok {
+				return fmt.Errorf("frame %d held by objects %d and %d", f, prev, e.id)
+			}
+			owner[f] = e.id
+			if c.nextFrame(f, f+1, true) != f {
+				return fmt.Errorf("frame %d of object %d marked free", f, e.id)
+			}
+		}
 		if e.next == nil && c.tail != e {
 			return fmt.Errorf("tail pointer wrong")
 		}
@@ -236,8 +251,12 @@ func (c *BufferCache) checkInvariants() error {
 	if listed != len(c.entries) {
 		return fmt.Errorf("LRU list has %d entries, map has %d", listed, len(c.entries))
 	}
-	if owned != 0 {
-		return fmt.Errorf("frame ownership does not match entry sizes (residue %d)", owned)
+	used := 0
+	for _, w := range c.used {
+		used += bits.OnesCount64(w)
+	}
+	if used != pages {
+		return fmt.Errorf("%d frames marked used, resident objects hold %d", used, pages)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -374,5 +375,66 @@ func TestStorageMeanRespPlausible(t *testing.T) {
 	}
 	if math.IsNaN(float64(res.MeanResp)) {
 		t.Fatal("NaN response")
+	}
+}
+
+// refFindRun is the frame-by-frame next-fit scan the word-at-a-time
+// findRun must reproduce: the run it returns and the hint it leaves.
+func refFindRun(c *BufferCache, n int) (memsys.PageID, bool, int) {
+	hint := c.hint
+	if hint >= c.frames {
+		hint = 0
+	}
+	for pass := 0; pass < 2; pass++ {
+		start, end := hint, c.frames
+		if pass == 1 {
+			start, end = 0, min(hint+n-1, c.frames)
+		}
+		run := 0
+		for f := start; f < end; f++ {
+			if c.used[f>>6]&(1<<uint(f&63)) != 0 {
+				run = 0
+				continue
+			}
+			if run++; run == n {
+				return memsys.PageID(f - n + 1), true, f + 1
+			}
+		}
+	}
+	return 0, false, hint
+}
+
+// TestFindRunMatchesFrameScan drives a cache whose size is not a
+// multiple of 64 through random inserts and removes, and checks every
+// findRun against the frame-by-frame reference: same run, same
+// success, same hint afterwards.
+func TestFindRunMatchesFrameScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c, err := NewBufferCache(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20000; i++ {
+		id := ObjectID(rng.Intn(120))
+		if rng.Intn(3) == 0 {
+			c.Remove(id)
+			continue
+		}
+		n := 1 + rng.Intn(9)
+		if rng.Intn(2) == 0 {
+			c.hint = rng.Intn(c.frames + 1)
+		}
+		want, wantOK, wantHint := refFindRun(c, n)
+		got, gotOK := c.findRun(n)
+		if got != want || gotOK != wantOK || c.hint != wantHint {
+			t.Fatalf("op %d: findRun(%d) = %d, %v, hint %d; frame scan gives %d, %v, hint %d",
+				i, n, got, gotOK, c.hint, want, wantOK, wantHint)
+		}
+		if _, _, ok := c.Lookup(id); !ok {
+			c.Insert(id, n)
+		}
+		if err := c.checkInvariants(); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
 	}
 }

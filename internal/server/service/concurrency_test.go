@@ -251,20 +251,20 @@ func TestCacheHitSkipsRun(t *testing.T) {
 		t.Errorf("cache_hits = %d, want 1", got)
 	}
 
-	// A different Workers setting is a different canonical spec: it
-	// must run, not hit.
-	st3, err := d.Submit(Job{Tenant: "a", Workload: "Synthetic-St", Workers: 2})
+	// A different seed is a different canonical spec: it must run, not
+	// hit.
+	st3, err := d.Submit(Job{Tenant: "a", Workload: "Synthetic-St", Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st3.Cached {
-		t.Error("Workers variant was served from cache; it must run the parallel engine")
+		t.Error("Seed variant was served from cache; it must run")
 	}
 	if _, err := d.Wait(ctx, st3.ID); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Counters().Get("runs"); got != 2 {
-		t.Errorf("runs after Workers variant = %d, want 2", got)
+		t.Errorf("runs after Seed variant = %d, want 2", got)
 	}
 }
 

@@ -459,7 +459,6 @@ func (d *Daemon) executeGrid(js *jobState) ([]byte, error) {
 		return experiments.CanonicalJSON(points)
 	}
 	s := experiments.NewSuiteFromSpec(gw.Suite)
-	s.Workers = gw.Workers
 	if d.cfg.PointParallel > 1 {
 		s.Runner = &experiments.Runner{Parallel: d.cfg.PointParallel}
 	}

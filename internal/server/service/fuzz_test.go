@@ -20,7 +20,7 @@ import (
 func FuzzJobDecode(f *testing.F) {
 	// The worked example from docs/SERVICE.md plus each job kind.
 	f.Add([]byte(`{"Workload":"OLTP-St"}`))
-	f.Add([]byte(`{"Tenant":"acme","Workload":"Synthetic-St","Scheme":"dma-ta-pl","CPLimit":0.15,"PLGroups":4,"Workers":4}`))
+	f.Add([]byte(`{"Tenant":"acme","Workload":"Synthetic-St","Scheme":"dma-ta-pl","CPLimit":0.15,"PLGroups":4}`))
 	f.Add([]byte(`{"Grid":{"Name":"fig10","Workloads":["Synthetic-St"],"BusBW":[1.064e9],"Channels":[1,2,4]}}`))
 	f.Add([]byte(`{"Grid":{"Name":"noop","Points":3}}`))
 	// Malformed shapes: truncations, unknown fields, trailing bytes.

@@ -59,17 +59,17 @@ func goldenBytes(t *testing.T, file string) []byte {
 	return b
 }
 
-// testGoldenReports drives every Table 2 workload x scheme through
-// the service end to end and requires the response body to be
-// byte-identical to the committed golden corpus.
-func testGoldenReports(t *testing.T, workers int) {
+// TestServiceGoldenReports is the end-to-end acceptance gate: every
+// Table 2 workload x scheme submitted over HTTP returns exactly the
+// committed golden report.
+func TestServiceGoldenReports(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 2})
 	for _, name := range experiments.WorkloadNames() {
 		for _, scheme := range experiments.ReportSchemes() {
 			name, scheme := name, scheme
 			t.Run(name+"/"+scheme, func(t *testing.T) {
 				t.Parallel()
-				job := Job{Workload: name, Scheme: scheme, Workers: workers}
+				job := Job{Workload: name, Scheme: scheme}
 				body, err := json.Marshal(job)
 				if err != nil {
 					t.Fatal(err)
@@ -89,20 +89,6 @@ func testGoldenReports(t *testing.T, workers int) {
 			})
 		}
 	}
-}
-
-// TestServiceGoldenReports is the end-to-end acceptance gate: every
-// Table 2 workload x scheme submitted over HTTP returns exactly the
-// committed golden report, through the serial reference engine.
-func TestServiceGoldenReports(t *testing.T) {
-	testGoldenReports(t, 0)
-}
-
-// TestServiceGoldenReportsParallelEngine repeats the end-to-end golden
-// sweep with Workers: 4 inside each simulation — the daemon's parallel
-// engine path must stay byte-identical to the serial goldens.
-func TestServiceGoldenReportsParallelEngine(t *testing.T) {
-	testGoldenReports(t, 4)
 }
 
 // TestServiceGoldenGridSweep submits the committed multi-channel
@@ -248,6 +234,7 @@ func TestServiceBadJobs(t *testing.T) {
 		{"version-skew", `{"Version":7,"Workload":"OLTP-St"}`, "schema version 7"},
 		{"negative-duration", `{"Workload":"OLTP-St","DurationMs":-4}`, "negative DurationMs"},
 		{"one-group", `{"Workload":"OLTP-St","Scheme":"dma-ta-pl","PLGroups":1}`, "PLGroups 1"},
+		{"removed-workers", `{"Workload":"OLTP-St","Workers":4}`, "unknown field"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -330,7 +317,6 @@ func TestCanonicalHashStability(t *testing.T) {
 		`{"Workload":"OLTP-St","Scheme":"dma-ta-pl"}`,
 		`{"Workload":"Synthetic-St","Scheme":"dma-ta"}`,
 		`{"Workload":"OLTP-St","Scheme":"dma-ta","Seed":2}`,
-		`{"Workload":"OLTP-St","Scheme":"dma-ta","Workers":4}`,
 		`{"Workload":"OLTP-St","Scheme":"dma-ta","Tech":"ddr4-2400"}`,
 	} {
 		if h := hash(t, variant); h == implicit {

@@ -284,33 +284,6 @@ func (e *Engine) RunUntil(limit Time) {
 	e.runUntil(nil, limit)
 }
 
-// RunUntilContext is RunUntil with cancellation: ctx is polled every
-// few thousand dispatches exactly as in RunContext. The barrier engine
-// drives its shards through this in epoch-sized chunks; a run that is
-// never cancelled is bit-identical to RunUntil.
-func (e *Engine) RunUntilContext(ctx context.Context, limit Time) error {
-	return e.runUntil(ctx, limit)
-}
-
-// NextAt returns the instant of the earliest pending dispatch — the
-// scheduler's minimum event or the feeder's next batch, whichever is
-// first — and ok=false when both are drained. It does not advance the
-// clock; the barrier engine uses it to pick the next non-empty epoch.
-func (e *Engine) NextAt() (Time, bool) {
-	ev := e.sched.peekMin()
-	if e.feeder != nil {
-		if fat, _, ok := e.feeder.Peek(); ok {
-			if ev == nil || fat < ev.at {
-				return fat, true
-			}
-		}
-	}
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
-}
-
 // next selects the earliest pending dispatch: the scheduler's minimum
 // event, or the feeder's batch when its (instant, priority) sorts
 // strictly first. useFeeder=true means the feeder fires next.
