@@ -16,6 +16,7 @@ import (
 	"dmamem/internal/energy"
 	"dmamem/internal/metrics"
 	"dmamem/internal/sim"
+	"dmamem/internal/synth"
 )
 
 // -update regenerates the golden corpus under testdata/golden/ from
@@ -202,6 +203,38 @@ func TestGoldenTechReports(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestGoldenFig8Saturated pins Figure 8's top point, Synthetic-St at
+// 400 transfers/ms, under every Table 2 scheme. The default-rate
+// workloads never saturate the buses, so this is the one golden where
+// thousands of flows share them and the fluid allocator's
+// progressive filling runs many rounds per recompute.
+func TestGoldenFig8Saturated(t *testing.T) {
+	s := goldenSuite()
+	cfg := synth.DefaultSt()
+	cfg.Duration = s.Duration
+	cfg.Seed = s.Seed + 1
+	cfg.RatePerMs = 400
+	tr, err := synth.GenerateSt(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type schemeReport struct {
+		Scheme string
+		Report *metrics.Report
+	}
+	var got []schemeReport
+	for _, sc := range goldenSchemes() {
+		run := sc.cfg
+		run.MeterWindow = tr.Duration() + 2*sim.Millisecond
+		res, err := core.Run(run, tr)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.label, err)
+		}
+		got = append(got, schemeReport{sc.label, res.Report})
+	}
+	writeOrCompareGolden(t, goldenPath(t, "fig8_saturated.json"), got)
 }
 
 // fig10ChannelsSpec is the multi-channel sweep slice the sharded
