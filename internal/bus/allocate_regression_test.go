@@ -14,24 +14,13 @@ import (
 // the quick.Check counterexample that exposed it
 // (seed -375422443678318450, nf 0xa4).
 func TestAllocateAccumulatedRoundingRegression(t *testing.T) {
-	rng := rand.New(rand.NewSource(-375422443678318450))
-	nBuses := 1 + rng.Intn(4)
-	nChips := 1 + rng.Intn(6)
-	caps := make([]float64, nBuses)
-	for i := range caps {
-		caps[i] = 0.5e9 + rng.Float64()*3e9
-	}
-	chipCap := 0.5e9 + rng.Float64()*4e9
-	a := NewAllocator(caps, chipCap)
-	flows := make([]Flow, 1+int(uint8(0xa4))%24)
-	for i := range flows {
-		flows[i] = Flow{Bus: rng.Intn(nBuses), Chip: rng.Intn(nChips)}
-	}
-	rates := a.Allocate(flows)
+	caps, nChips, chipCap, flows := roundingRegressionInputs()
+	nBuses := len(caps)
+	rates := NewAllocator(caps, nChips, chipCap).Allocate(flows)
 
 	const tol = 1.0 // bytes/s
 	busLoad := make([]float64, nBuses)
-	chipLoad := map[int]float64{}
+	chipLoad := make([]float64, nChips)
 	for i, f := range flows {
 		if rates[i] <= 0 {
 			t.Fatalf("flow %d rate %v", i, rates[i])
@@ -78,4 +67,22 @@ func TestAllocateAccumulatedRoundingRegression(t *testing.T) {
 				i, fl.Bus, fl.Chip, rates[i], busSat, chipSat)
 		}
 	}
+}
+
+// roundingRegressionInputs draws the regression's allocator and flows
+// exactly as TestQuickAllocateInvariants did for the counterexample.
+func roundingRegressionInputs() (caps []float64, nChips int, chipCap float64, flows []Flow) {
+	rng := rand.New(rand.NewSource(-375422443678318450))
+	nBuses := 1 + rng.Intn(4)
+	nChips = 1 + rng.Intn(6)
+	caps = make([]float64, nBuses)
+	for i := range caps {
+		caps[i] = 0.5e9 + rng.Float64()*3e9
+	}
+	chipCap = 0.5e9 + rng.Float64()*4e9
+	flows = make([]Flow, 1+int(uint8(0xa4))%24)
+	for i := range flows {
+		flows[i] = Flow{Bus: rng.Intn(nBuses), Chip: rng.Intn(nChips)}
+	}
+	return caps, nChips, chipCap, flows
 }

@@ -66,12 +66,16 @@ func TestGatherTargetPanics(t *testing.T) {
 	GatherTarget(0, 1)
 }
 
+// testChips is the chip count of pcixAlloc's allocators: the paper's
+// 32-chip memory.
+const testChips = 32
+
 func pcixAlloc(nBuses int) *Allocator {
 	caps := make([]float64, nBuses)
 	for i := range caps {
 		caps[i] = PCIXBandwidth
 	}
-	return NewAllocator(caps, 3.2e9)
+	return NewAllocator(caps, testChips, 3.2e9)
 }
 
 func TestAllocateEmpty(t *testing.T) {
@@ -110,7 +114,7 @@ func TestAllocateChipBottleneck(t *testing.T) {
 	// Four 2 GB/s buses into one 3.2 GB/s chip: chip is the bottleneck,
 	// each flow gets 0.8 GB/s.
 	caps := []float64{2e9, 2e9, 2e9, 2e9}
-	a := NewAllocator(caps, 3.2e9)
+	a := NewAllocator(caps, 1, 3.2e9)
 	rates := a.Allocate([]Flow{{0, 0}, {1, 0}, {2, 0}, {3, 0}})
 	for _, r := range rates {
 		if math.Abs(r-0.8e9) > 1 {
@@ -147,7 +151,7 @@ func TestAllocateMaxMinRedistribution(t *testing.T) {
 	// One fast bus (3 GB/s) and one slow bus (1 GB/s) into a 3.2 GB/s
 	// chip. Max-min: slow flow frozen at 1 GB/s, fast flow takes the
 	// remaining 2.2 GB/s.
-	a := NewAllocator([]float64{3e9, 1e9}, 3.2e9)
+	a := NewAllocator([]float64{3e9, 1e9}, 1, 3.2e9)
 	rates := a.Allocate([]Flow{{0, 0}, {1, 0}})
 	if math.Abs(rates[1]-1e9) > 1e3 {
 		t.Fatalf("slow flow = %g, want 1e9", rates[1])
@@ -161,7 +165,7 @@ func TestAllocateChannelCap(t *testing.T) {
 	// Two 2 GB/s buses into two different 3.2 GB/s chips of the same
 	// channel, channel capped at 3 GB/s: the channel is the bottleneck
 	// and the flows split it evenly.
-	a := NewAllocator([]float64{2e9, 2e9}, 3.2e9)
+	a := NewAllocator([]float64{2e9, 2e9}, 2, 3.2e9)
 	a.SetChannels([]int{0, 0}, []float64{3e9})
 	rates := a.Allocate([]Flow{{Bus: 0, Chip: 0}, {Bus: 1, Chip: 1}})
 	for _, r := range rates {
@@ -174,7 +178,7 @@ func TestAllocateChannelCap(t *testing.T) {
 func TestAllocateChannelIndependence(t *testing.T) {
 	// Chips 0 and 1 on different channels: each flow is limited only by
 	// its own bus, exactly as without the channel constraint.
-	a := NewAllocator([]float64{2e9, 2e9}, 3.2e9)
+	a := NewAllocator([]float64{2e9, 2e9}, 2, 3.2e9)
 	a.SetChannels([]int{0, 1}, []float64{3e9, 3e9})
 	rates := a.Allocate([]Flow{{Bus: 0, Chip: 0}, {Bus: 1, Chip: 1}})
 	for _, r := range rates {
@@ -188,10 +192,10 @@ func TestAllocateChannelUnsetMatchesLegacy(t *testing.T) {
 	// Setting and clearing the channel constraint restores the exact
 	// legacy rates (same arithmetic, bit for bit).
 	flows := []Flow{{0, 0}, {1, 0}, {0, 1}, {2, 5}}
-	legacy := NewAllocator([]float64{3e9, 1e9, 2e9}, 3.2e9)
+	legacy := NewAllocator([]float64{3e9, 1e9, 2e9}, 6, 3.2e9)
 	want := append([]float64(nil), legacy.Allocate(flows)...)
 
-	a := NewAllocator([]float64{3e9, 1e9, 2e9}, 3.2e9)
+	a := NewAllocator([]float64{3e9, 1e9, 2e9}, 6, 3.2e9)
 	a.SetChannels([]int{0, 0, 1, 1, 2, 2}, []float64{9e9, 9e9, 9e9})
 	a.Allocate(flows)
 	a.SetChannels(nil, nil)
@@ -217,6 +221,9 @@ func TestSetChannelsPanics(t *testing.T) {
 		{"negative channel", func(a *Allocator) {
 			a.SetChannels([]int{-1}, []float64{1e9})
 		}},
+		{"channel map shorter than chips", func(a *Allocator) {
+			a.SetChannels([]int{}, []float64{1e9})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,7 +232,7 @@ func TestSetChannelsPanics(t *testing.T) {
 					t.Error("expected panic")
 				}
 			}()
-			tc.f(pcixAlloc(1))
+			tc.f(NewAllocator([]float64{PCIXBandwidth}, 1, 3.2e9))
 		})
 	}
 }
@@ -240,11 +247,26 @@ func TestAllocatePanicsOnBadBus(t *testing.T) {
 	a.Allocate([]Flow{{Bus: 3, Chip: 0}})
 }
 
+func TestAllocatePanicsOnBadChip(t *testing.T) {
+	for _, chip := range []int{-1, testChips} {
+		func() {
+			a := pcixAlloc(1)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic for chip %d of %d", chip, testChips)
+				}
+			}()
+			a.Allocate([]Flow{{Bus: 0, Chip: 0}, {Bus: 0, Chip: chip}})
+		}()
+	}
+}
+
 func TestNewAllocatorPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewAllocator(nil, 1) },
-		func() { NewAllocator([]float64{0}, 1) },
-		func() { NewAllocator([]float64{1}, 0) },
+		func() { NewAllocator(nil, 1, 1) },
+		func() { NewAllocator([]float64{0}, 1, 1) },
+		func() { NewAllocator([]float64{1}, 0, 1) },
+		func() { NewAllocator([]float64{1}, 1, 0) },
 	} {
 		func() {
 			defer func() {
@@ -274,7 +296,7 @@ func TestQuickAllocateInvariants(t *testing.T) {
 			caps[i] = 0.5e9 + rng.Float64()*3e9
 		}
 		chipCap := 0.5e9 + rng.Float64()*4e9
-		a := NewAllocator(caps, chipCap)
+		a := NewAllocator(caps, nChips, chipCap)
 		flows := make([]Flow, 1+int(nf)%24)
 		for i := range flows {
 			flows[i] = Flow{Bus: rng.Intn(nBuses), Chip: rng.Intn(nChips)}
@@ -283,7 +305,7 @@ func TestQuickAllocateInvariants(t *testing.T) {
 
 		const tol = 1.0 // bytes/s
 		busLoad := make([]float64, nBuses)
-		chipLoad := map[int]float64{}
+		chipLoad := make([]float64, nChips)
 		for i, f := range flows {
 			if rates[i] <= 0 {
 				return false
@@ -367,6 +389,39 @@ func TestQuickAllocateDeterministic(t *testing.T) {
 	}
 }
 
+// saturatedFlows is a Figure 8 top-point flow set: 104 flows, the mean
+// live-flow count per recompute at 400 transfers/ms, over 3 buses and
+// 32 chips.
+func saturatedFlows() []Flow {
+	rng := rand.New(rand.NewSource(1))
+	flows := make([]Flow, 104)
+	for i := range flows {
+		flows[i] = Flow{Bus: rng.Intn(3), Chip: rng.Intn(testChips)}
+	}
+	return flows
+}
+
+// TestAllocateSteadyStateZeroAlloc is the allocator's allocation
+// guard: once its scratch is warm, Allocate on a saturated flow set
+// allocates nothing, with or without channel caps.
+func TestAllocateSteadyStateZeroAlloc(t *testing.T) {
+	a := pcixAlloc(3)
+	flows := saturatedFlows()
+	channelOf := make([]int, testChips)
+	for c := range channelOf {
+		channelOf[c] = c % 2
+	}
+	for _, channels := range []bool{false, true} {
+		if channels {
+			a.SetChannels(channelOf, []float64{4e9, 4e9})
+		}
+		a.Allocate(flows)
+		if allocs := testing.AllocsPerRun(100, func() { a.Allocate(flows) }); allocs != 0 {
+			t.Fatalf("channels=%v: Allocate allocated %.1f allocs/op, want 0", channels, allocs)
+		}
+	}
+}
+
 func BenchmarkAllocate(b *testing.B) {
 	a := pcixAlloc(3)
 	flows := make([]Flow, 16)
@@ -374,6 +429,16 @@ func BenchmarkAllocate(b *testing.B) {
 	for i := range flows {
 		flows[i] = Flow{Bus: rng.Intn(3), Chip: rng.Intn(32)}
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Allocate(flows)
+	}
+}
+
+func BenchmarkAllocateSaturated(b *testing.B) {
+	a := pcixAlloc(3)
+	flows := saturatedFlows()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

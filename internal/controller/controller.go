@@ -322,7 +322,7 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 		cfg:      cfg,
 		eng:      eng,
 		model:    model,
-		alloc:    bus.NewAllocator(busCaps, cfg.Geometry.ChipBandwidth),
+		alloc:    bus.NewAllocator(busCaps, cfg.Geometry.NumChips, cfg.Geometry.ChipBandwidth),
 		mapper:   mapper,
 		lineTime: cfg.Geometry.CacheLineServiceTime(),
 		reqBytes: memsys.RequestBytes,
