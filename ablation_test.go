@@ -17,6 +17,7 @@ package dmamem
 //   - memory technology (RDRAM vs DDR400; Section 5.4)
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -40,7 +41,7 @@ func ablationTrace(b *testing.B) *trace.Trace {
 
 func savingsOf(b *testing.B, cfg core.Config, tr *trace.Trace) float64 {
 	b.Helper()
-	_, _, s, err := core.RunBaselinePair(core.Config{}, cfg, tr)
+	_, _, s, err := core.RunPair(context.Background(), core.Config{}, cfg, tr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func BenchmarkAblationStaticPolicy(b *testing.B) {
 		base := core.Config{Policy: pol}
 		cfg := taplConfig()
 		cfg.Policy = pol
-		_, _, s, err := core.RunBaselinePair(base, cfg, tr)
+		_, _, s, err := core.RunPair(context.Background(), base, cfg, tr)
 		if err != nil {
 			b.Fatal(err)
 		}

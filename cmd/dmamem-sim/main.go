@@ -15,7 +15,6 @@
 //	  -cp-limit 0.10     client-perceived degradation bound for DMA-TA
 //	  -groups 2          popularity groups for PL
 //	  -compare           also run the baseline and report savings
-//	  -parallel N        run the baseline and technique concurrently
 //	  -channels N        memory channels (0 = legacy single-channel)
 //	  -stripe-pages N    pages per channel stripe (with -channels)
 //	  -channel-bw B      per-channel bandwidth cap, bytes/s (with -channels)
@@ -34,7 +33,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -57,14 +55,10 @@ func main() {
 	channelBW := flag.Float64("channel-bw", 0, "per-channel bandwidth cap, bytes/s (0 = uncapped; needs -channels)")
 	compare := flag.Bool("compare", true, "also run the baseline and report savings")
 	jsonOut := flag.Bool("json", false, "emit the report(s) as JSON")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the -compare pair (1 = sequential)")
 	shardWorker := flag.Bool("shard-worker", false, "serve one sweep-shard session on stdin/stdout and exit")
 	shardListen := flag.String("shard-listen", "", "serve sweep-shard sessions on this TCP address until interrupted")
 	flag.Parse()
 
-	if err := validateConcurrency(*parallel); err != nil {
-		fatal(err)
-	}
 	tech, err := parseTech(*techFlag)
 	if err != nil {
 		fatal(err)
@@ -124,7 +118,7 @@ func main() {
 	}
 
 	if *compare && s.Technique != dmamem.Baseline {
-		cmp, err := dmamem.CompareContext(ctx, s, tr, *parallel)
+		cmp, err := dmamem.CompareContext(ctx, s, tr)
 		if err != nil {
 			fatal(err)
 		}
@@ -197,16 +191,6 @@ func loadTrace(file, workload string, d time.Duration, seed uint64) (*dmamem.Tra
 		return dmamem.DatabaseServerTrace(dmamem.ServerOptions{Duration: d, Seed: seed})
 	}
 	return nil, fmt.Errorf("unknown workload %q", workload)
-}
-
-// validateConcurrency rejects a non-positive -parallel up front: it
-// is a goroutine count, and 0 or a negative count would otherwise hang
-// the -compare pair.
-func validateConcurrency(parallel int) error {
-	if parallel <= 0 {
-		return fmt.Errorf("-parallel %d must be at least 1 (goroutines for the -compare pair)", parallel)
-	}
-	return nil
 }
 
 // parseTech resolves the single -tech value through the shared

@@ -5,34 +5,6 @@ import (
 	"testing"
 )
 
-// TestValidateConcurrency pins the rejection of a non-positive
-// -parallel and the wording the user sees: the flag name, the bad
-// value, and what the minimum means.
-func TestValidateConcurrency(t *testing.T) {
-	cases := []struct {
-		parallel int
-		wantErr  string
-	}{
-		{1, ""},
-		{8, ""},
-		{0, "-parallel 0 must be at least 1"},
-		{-1, "-parallel -1 must be at least 1"},
-	}
-	for _, tc := range cases {
-		err := validateConcurrency(tc.parallel)
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("validateConcurrency(%d) = %v, want nil", tc.parallel, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("validateConcurrency(%d) = %v, want error containing %q",
-				tc.parallel, err, tc.wantErr)
-		}
-	}
-}
-
 // TestParseTech pins the -tech flag handling: values route through
 // the shared tech-list parser (trimming, case folding, registry
 // validation), the empty flag means the default technology, and lists

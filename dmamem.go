@@ -352,19 +352,20 @@ type Comparison struct {
 // isolates the technique. The trace may be nil when s.TraceFile names
 // a .dmt container: both runs then replay it from disk in bounded
 // memory.
+//
+// The two simulations run on two goroutines when GOMAXPROCS > 1 and
+// one after the other otherwise; each is confined to a single
+// goroutine (see the internal/sim ownership contract), so the reports
+// are bit-identical either way.
 func Compare(s Simulation, tr *Trace) (*Comparison, error) {
-	return CompareContext(context.Background(), s, tr, 1)
+	return CompareContext(context.Background(), s, tr)
 }
 
-// CompareContext is Compare with cancellation and optional
-// concurrency: when parallel > 1 the baseline and technique
-// simulations run on two goroutines (each simulation is confined to a
-// single goroutine — see the internal/sim ownership contract), and the
-// resulting reports are bit-identical to Compare's. Cancellation is
+// CompareContext is Compare with cancellation. Cancellation is
 // observed mid-run: the engines poll ctx every few thousand
 // dispatches, so even a simulation in flight aborts within
 // microseconds of wall time with ctx.Err().
-func CompareContext(ctx context.Context, s Simulation, tr *Trace, parallel int) (*Comparison, error) {
+func CompareContext(ctx context.Context, s Simulation, tr *Trace) (*Comparison, error) {
 	tech, err := s.coreConfig()
 	if err != nil {
 		return nil, err
@@ -375,7 +376,7 @@ func CompareContext(ctx context.Context, s Simulation, tr *Trace, parallel int) 
 	if err != nil {
 		return nil, err
 	}
-	base, techRes, savings, err := core.RunBaselinePairParallel(ctx, baseCfg, tech, internalTrace(tr), parallel)
+	base, techRes, savings, err := core.RunPair(ctx, baseCfg, tech, internalTrace(tr))
 	if err != nil {
 		return nil, err
 	}

@@ -85,9 +85,9 @@ func main() {
 
 	// Record, then replay. The same workload can be recorded straight
 	// to a .dmt container (docs/TRACE_FORMAT.md) and simulated from
-	// the file — the report is bit-identical, and the replay holds at
-	// most two chunks of records in memory, so the identical code
-	// scales to hour-long recordings. For workloads too big to build
+	// the file — the report is bit-identical, and the replay holds one
+	// chunk of the file and a small window of records in memory, so
+	// the identical code scales to hour-long recordings. For workloads too big to build
 	// in memory at all, CreateTraceFile streams record by record.
 	path := filepath.Join(os.TempDir(), "video-streaming.dmt")
 	if err := tr.SaveFile(path); err != nil {

@@ -233,6 +233,11 @@ type Controller struct {
 	onCompletionFn  sim.Handler
 	onEpochFn       sim.Handler
 
+	// ActivePages' page-indexed marks (allocated on first use) and the
+	// pages currently marked.
+	busyMark  []bool
+	busyPages []memsys.PageID
+
 	// Channel topology state. channels is the effective channel count
 	// (1 in the legacy configuration); channelOf maps chip -> channel.
 	channels  int

@@ -276,13 +276,26 @@ func (c *Controller) onEpoch(e *sim.Engine) {
 	c.recompute(now)
 }
 
-// ActivePages returns the pages of all unfinished transfers (flowing,
-// waiting, or gated); the layout manager must not migrate them.
-func (c *Controller) ActivePages() map[memsys.PageID]bool {
-	busy := make(map[memsys.PageID]bool)
+// ActivePages marks the pages of all unfinished transfers (flowing,
+// waiting, or gated); the layout manager must not migrate them. The
+// result is indexed by page and owned by the controller: it stays
+// valid until the next call, which clears the previous marks through
+// the list of pages it set.
+func (c *Controller) ActivePages() []bool {
+	if c.busyMark == nil {
+		c.busyMark = make([]bool, c.cfg.Geometry.TotalPages())
+	}
+	for _, p := range c.busyPages {
+		c.busyMark[p] = false
+	}
+	c.busyPages = c.busyPages[:0]
 	add := func(x *xferState) {
 		for p := x.pageIdx; p < x.t.Pages; p++ {
-			busy[x.t.Page+memsys.PageID(p)] = true
+			pg := x.t.Page + memsys.PageID(p)
+			if !c.busyMark[pg] {
+				c.busyMark[pg] = true
+				c.busyPages = append(c.busyPages, pg)
+			}
 		}
 	}
 	for _, f := range c.allFlows {
@@ -296,5 +309,5 @@ func (c *Controller) ActivePages() map[memsys.PageID]bool {
 			add(x)
 		}
 	}
-	return busy
+	return c.busyMark
 }

@@ -7,6 +7,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"dmamem/internal/bus"
 	"dmamem/internal/controller"
@@ -455,10 +456,12 @@ func feed(eng *sim.Engine, ctl *controller.Controller, tr *trace.Trace) {
 // trace.
 func scheduleRebalances(eng *sim.Engine, ctl *controller.Controller, lm *layout.Manager, end sim.Time) {
 	interval := lm.Interval()
+	var busy []bool
+	isBusy := func(p memsys.PageID) bool { return busy[p] }
 	var tick func(e *sim.Engine)
 	tick = func(e *sim.Engine) {
-		busy := ctl.ActivePages()
-		lm.Rebalance(func(p memsys.PageID) bool { return busy[p] })
+		busy = ctl.ActivePages()
+		lm.Rebalance(isBusy)
 		next := e.Now().Add(interval)
 		if next <= end {
 			eng.SchedulePrio(next, 5, tick)
@@ -490,34 +493,20 @@ func pairWindow(base Config, tr *trace.Trace) (sim.Duration, error) {
 	return fr.Summary().Duration + 2*sim.Millisecond, nil
 }
 
-// RunBaselinePair runs the same trace under a baseline config and a
-// technique config with a shared metering window, returning both
-// results plus the fractional savings. The trace may be nil when both
-// configs name the same .dmt container in TraceFile.
-func RunBaselinePair(base, tech Config, tr *trace.Trace) (b, t *Result, savings float64, err error) {
-	window, err := pairWindow(base, tr)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	base.MeterWindow = window
-	tech.MeterWindow = window
-	if b, err = Run(base, tr); err != nil {
-		return nil, nil, 0, err
-	}
-	if t, err = Run(tech, tr); err != nil {
-		return nil, nil, 0, err
-	}
-	return b, t, t.Report.Savings(b.Report), nil
-}
-
-// RunBaselinePairParallel is RunBaselinePair with cancellation and,
-// when parallel > 1, the two runs on separate goroutines (each
-// simulation owns its own single-goroutine engine; see internal/sim).
-// Results are bit-identical to RunBaselinePair's. Cancellation is
-// observed mid-run: the engines poll ctx every few thousand
-// dispatches, so a cancelled sweep aborts within microseconds of wall
-// time instead of finishing the simulation in flight.
-func RunBaselinePairParallel(ctx context.Context, base, tech Config, tr *trace.Trace, parallel int) (b, t *Result, savings float64, err error) {
+// RunPair runs the same trace under a baseline config and a technique
+// config with a shared metering window, returning both results plus
+// the fractional savings. The trace may be nil when both configs name
+// the same .dmt container in TraceFile.
+//
+// The two runs are independent simulations over a read-only trace, so
+// when runtime.GOMAXPROCS(0) > 1 the technique runs on a second
+// goroutine while the baseline runs on the caller's; otherwise they
+// run one after the other. Each simulation still owns its own
+// single-goroutine engine (see internal/sim), so the results are
+// bit-identical either way. The baseline's error wins over the
+// technique's. Cancellation is observed mid-run: the engines poll ctx
+// every few thousand dispatches.
+func RunPair(ctx context.Context, base, tech Config, tr *trace.Trace) (b, t *Result, savings float64, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -530,23 +519,18 @@ func RunBaselinePairParallel(ctx context.Context, base, tech Config, tr *trace.T
 	}
 	base.MeterWindow = window
 	tech.MeterWindow = window
-	if parallel <= 1 {
-		if b, err = RunContext(ctx, base, tr); err != nil {
-			return nil, nil, 0, err
-		}
-		if t, err = RunContext(ctx, tech, tr); err != nil {
-			return nil, nil, 0, err
-		}
-		return b, t, t.Report.Savings(b.Report), nil
-	}
 	var baseErr, techErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	if runtime.GOMAXPROCS(0) > 1 {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			t, techErr = RunContext(ctx, tech, tr)
+		}()
+		b, baseErr = RunContext(ctx, base, tr)
+		<-done
+	} else if b, baseErr = RunContext(ctx, base, tr); baseErr == nil {
 		t, techErr = RunContext(ctx, tech, tr)
-	}()
-	b, baseErr = RunContext(ctx, base, tr)
-	<-done
+	}
 	if baseErr != nil {
 		return nil, nil, 0, baseErr
 	}

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"dmamem/internal/bus"
@@ -124,9 +128,68 @@ func TestExplicitMuNotOverridden(t *testing.T) {
 	}
 }
 
+// TestRunPairMatchesSequentialRuns pins RunPair to its definition: two
+// RunContext calls sharing the pair's metering window. The results
+// must be deeply equal whether the pair runs sequentially (GOMAXPROCS
+// 1) or on two goroutines, for in-memory and file-backed traces.
+func TestRunPairMatchesSequentialRuns(t *testing.T) {
+	tr := stTrace(t, 5*sim.Millisecond)
+	path := saveDMT(t, tr, 300)
+	window := tr.Duration() + 2*sim.Millisecond
+	tech := Config{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: plCfg(2)}
+	for _, src := range []struct {
+		name string
+		tr   *trace.Trace
+		file string
+	}{{"memory", tr, ""}, {"file", nil, path}} {
+		base, tech := Config{TraceFile: src.file}, tech
+		tech.TraceFile = src.file
+		wb, wt := base, tech
+		wb.MeterWindow, wt.MeterWindow = window, window
+		wantB, err := RunContext(context.Background(), wb, src.tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantT, err := RunContext(context.Background(), wt, src.tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(procs)
+			b, tc, savings, err := RunPair(context.Background(), base, tech, src.tr)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("%s GOMAXPROCS=%d: %v", src.name, procs, err)
+			}
+			if !reflect.DeepEqual(b, wantB) || !reflect.DeepEqual(tc, wantT) {
+				t.Errorf("%s GOMAXPROCS=%d: RunPair differs from two sequential RunContext calls", src.name, procs)
+			}
+			if want := wantT.Report.Savings(wantB.Report); savings != want {
+				t.Errorf("%s GOMAXPROCS=%d: savings %v, want %v", src.name, procs, savings, want)
+			}
+		}
+	}
+}
+
+// TestRunPairBaselineErrorWins: when both runs fail, the pair reports
+// the baseline's error at any GOMAXPROCS.
+func TestRunPairBaselineErrorWins(t *testing.T) {
+	tr := stTrace(t, sim.Millisecond)
+	base := Config{Tech: "no-such-base"}
+	tech := Config{Tech: "no-such-tech"}
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		_, _, _, err := RunPair(context.Background(), base, tech, tr)
+		runtime.GOMAXPROCS(prev)
+		if err == nil || !strings.Contains(err.Error(), "no-such-base") {
+			t.Errorf("GOMAXPROCS=%d: err = %v, want the baseline's error", procs, err)
+		}
+	}
+}
+
 func TestTASavesEnergyOnSyntheticSt(t *testing.T) {
 	tr := stTrace(t, 20*sim.Millisecond)
-	base, ta, savings, err := RunBaselinePair(
+	base, ta, savings, err := RunPair(context.Background(),
 		Config{},
 		Config{TA: controller.DefaultTA(0), CPLimit: 0.10},
 		tr)
@@ -147,14 +210,14 @@ func TestTAPLSavesMoreThanTA(t *testing.T) {
 	tr := stTrace(t, 20*sim.Millisecond)
 	pl := layout.DefaultConfig()
 	pl.Interval = 5 * sim.Millisecond // several rebalances within the short test trace
-	_, ta, sTA, err := RunBaselinePair(
+	_, ta, sTA, err := RunPair(context.Background(),
 		Config{},
 		Config{TA: controller.DefaultTA(0), CPLimit: 0.10},
 		tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tapl, sTAPL, err := RunBaselinePair(
+	_, tapl, sTAPL, err := RunPair(context.Background(),
 		Config{},
 		Config{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: &pl},
 		tr)
@@ -248,7 +311,7 @@ func TestProcAccessesReduceSavings(t *testing.T) {
 	}
 	pl := layout.DefaultConfig()
 	savingsFor := func(tr *trace.Trace) float64 {
-		_, _, s, err := RunBaselinePair(Config{},
+		_, _, s, err := RunPair(context.Background(), Config{},
 			Config{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: &pl}, tr)
 		if err != nil {
 			t.Fatal(err)

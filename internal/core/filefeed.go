@@ -1,10 +1,10 @@
 // File-backed simulation: the same run assembly as RunContext, with
 // the trace streamed from a .dmt container instead of a slice. The
-// container is traversed at most three times — a validation-plus-
-// warm-up pass, then the simulated pass, each through a bounded-memory
-// cursor — and the CP-Limit calibration comes from the container's
-// footer aggregates, so a trace 100x longer than memory runs in the
-// same flat footprint as a short one. Reports are bit-identical to the
+// container is traversed twice by one bounded-memory cursor — a
+// validation-plus-warm-up pass, then, rewound, the simulated pass —
+// and the CP-Limit calibration comes from the container's footer
+// aggregates, so a trace 100x longer than memory runs in the same flat
+// footprint as a short one. Reports are bit-identical to the
 // in-memory path on the same records: validation rules, warm-up
 // arithmetic, calibration floats and feeder batching all match.
 package core
@@ -84,10 +84,13 @@ func runFileContext(ctx context.Context, cfg Config) (*Result, error) {
 	// One streaming pass validates every record (the semantic checks
 	// the codec leaves to the simulator, matching the in-memory path's
 	// Validate plus page-range scan) and feeds the warm-up prefix to
-	// the layout manager.
-	if err := validateAndWarmFile(fr, sum, cfg, lm); err != nil {
+	// the layout manager; the same cursor, rewound, then feeds the
+	// simulated pass without allocating.
+	cur := fr.Cursor()
+	if err := validateAndWarmFile(cur, sum, cfg, lm); err != nil {
 		return nil, err
 	}
+	cur.Rewind()
 
 	eng := sim.New()
 	if cfg.HeapScheduler {
@@ -98,7 +101,7 @@ func runFileContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	feeder := &fileFeeder{ctl: ctl, cur: fr.Cursor()}
+	feeder := &fileFeeder{ctl: ctl, cur: cur}
 	eng.SetFeeder(feeder)
 	traceEnd := sim.Time(sum.Duration)
 	if lm != nil {
@@ -107,7 +110,7 @@ func runFileContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := eng.RunContext(ctx); err != nil {
 		return nil, err
 	}
-	if err := feeder.cur.Err(); err != nil {
+	if err := cur.Err(); err != nil {
 		return nil, fmt.Errorf("core: streaming %s: %w", cfg.TraceFile, err)
 	}
 
@@ -125,11 +128,11 @@ func runFileContext(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// validateAndWarmFile streams the container once, applying the same
-// semantic checks — with the same error wording AND the same
-// precedence — the in-memory path applies before a run, and feeding
-// the first WarmupFraction of the records' DMA references to the
-// layout manager exactly as warmup does.
+// validateAndWarmFile streams the container once through cur,
+// applying the same semantic checks — with the same error wording AND
+// the same precedence — the in-memory path applies before a run, and
+// feeding the first WarmupFraction of the records' DMA references to
+// the layout manager exactly as warmup does.
 //
 // Precedence matters for error-string parity: the in-memory path runs
 // all of trace.Validate (zero-page DMAs, negative pages, on every
@@ -138,14 +141,13 @@ func runFileContext(ctx context.Context, cfg Config) (*Result, error) {
 // streaming pass reproduces that by returning trace-level errors
 // immediately and holding the first range error until the scan ends.
 // The codec already enforces time order and kind validity.
-func validateAndWarmFile(fr *trace.FileReader, sum trace.FileSummary, cfg Config, lm *layout.Manager) error {
+func validateAndWarmFile(cur *trace.Cursor, sum trace.FileSummary, cfg Config, lm *layout.Manager) error {
 	maxPage := memsys.PageID(cfg.Geometry.TotalPages())
 	warm := int64(0)
 	if lm != nil {
 		warm = warmupCount(cfg.WarmupFraction, sum.Records)
 	}
 	var rangeErr error
-	cur := fr.Cursor()
 	for i := int64(0); ; i++ {
 		r, ok := cur.Next()
 		if !ok {
@@ -188,9 +190,10 @@ func validateAndWarmFile(fr *trace.FileReader, sum trace.FileSummary, cfg Config
 
 // fileFeeder is traceFeeder over a .dmt cursor: the engine's run loop
 // pulls arrival batches straight from the file's chunk stream, so
-// arrivals bypass the scheduler and at most one decoded chunk is
-// resident. Dispatch order and same-instant priority match the
-// in-memory feeder exactly, so the simulation is bit-identical.
+// arrivals bypass the scheduler and only the cursor's raw chunk and
+// decoded window are resident. Dispatch order and same-instant
+// priority match the in-memory feeder exactly, so the simulation is
+// bit-identical.
 //
 // A corrupted container surfaces as an exhausted cursor mid-run; the
 // caller checks cur.Err after the engine stops (a feeder has no error

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -91,30 +92,23 @@ func TestRunFileHeapSchedulerMatches(t *testing.T) {
 	}
 }
 
-// TestRunBaselinePairFileBacked checks both pair runners accept a nil
-// trace with TraceFile configs and agree with the in-memory pair.
-func TestRunBaselinePairFileBacked(t *testing.T) {
+// TestRunPairFileBacked checks the pair runner accepts a nil trace
+// with TraceFile configs and agrees with the in-memory pair.
+func TestRunPairFileBacked(t *testing.T) {
 	tr := stTrace(t, 5*sim.Millisecond)
 	path := saveDMT(t, tr, 512)
 	base := Config{TraceFile: path}
 	tech := Config{TraceFile: path, TA: controller.DefaultTA(0), CPLimit: 0.10}
-	fb, ft, fs, err := RunBaselinePair(base, tech, nil)
+	fb, ft, fs, err := RunPair(context.Background(), base, tech, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, mt, ms, err := RunBaselinePair(Config{}, Config{TA: controller.DefaultTA(0), CPLimit: 0.10}, tr)
+	mb, mt, ms, err := RunPair(context.Background(), Config{}, Config{TA: controller.DefaultTA(0), CPLimit: 0.10}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(mb, fb) || !reflect.DeepEqual(mt, ft) || ms != fs {
 		t.Fatal("file-backed pair differs from in-memory pair")
-	}
-	pb, pt, ps, err := RunBaselinePairParallel(nil, base, tech, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pb, fb) || !reflect.DeepEqual(pt, ft) || ps != fs {
-		t.Fatal("parallel file-backed pair differs from sequential")
 	}
 }
 

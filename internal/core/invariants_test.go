@@ -5,6 +5,7 @@ package core
 // regardless of the workload's shape.
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -156,12 +157,12 @@ func TestSchemeOrderingAcrossSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl := layout.DefaultConfig()
-		_, _, sTA, err := RunBaselinePair(Config{},
+		_, _, sTA, err := RunPair(context.Background(), Config{},
 			Config{TA: controller.DefaultTA(0), CPLimit: 0.10}, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, sPL, err := RunBaselinePair(Config{},
+		_, _, sPL, err := RunPair(context.Background(), Config{},
 			Config{TA: controller.DefaultTA(0), CPLimit: 0.10, PL: &pl}, tr)
 		if err != nil {
 			t.Fatal(err)

@@ -4,9 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"dmamem/internal/core"
 	"dmamem/internal/metrics"
-	"dmamem/internal/sim"
 )
 
 // TestParallelDeterminism is the regression gate for the parallel
@@ -68,33 +66,5 @@ func TestParallelDeterminism(t *testing.T) {
 
 	if par.Runner.Timings.Count() == 0 {
 		t.Error("parallel run recorded no job timings")
-	}
-}
-
-// TestBaselinePairParallelReports pins the metrics.Report equality at
-// the core layer: the two-goroutine baseline/technique pair must
-// reproduce the sequential pair's reports field for field.
-func TestBaselinePairParallelReports(t *testing.T) {
-	w, err := core.SyntheticStWorkload(10*sim.Millisecond, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tech := Fig5PLConfig()
-	b1, t1, s1, err := core.RunBaselinePair(core.Config{}, tech, w.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, t2, s2, err := core.RunBaselinePairParallel(ctx, core.Config{}, tech, w.Trace, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(b1.Report, b2.Report) {
-		t.Error("baseline metrics.Report differs under parallel execution")
-	}
-	if !reflect.DeepEqual(t1.Report, t2.Report) {
-		t.Error("technique metrics.Report differs under parallel execution")
-	}
-	if s1 != s2 {
-		t.Errorf("savings differ: %v vs %v", s1, s2)
 	}
 }

@@ -156,13 +156,13 @@ func (s *Suite) run(ctx context.Context, cfg core.Config, tr *trace.Trace) (*cor
 	return core.RunContext(ctx, cfg, tr)
 }
 
-// runPair is RunBaselinePair with the suite's engine knobs and
+// runPair is core.RunPair with the suite's engine knobs and
 // cancellation. It also reports the combined simulation event count of
 // the pair, so sweep jobs feed events/sec observability.
 func (s *Suite) runPair(ctx context.Context, base, tech core.Config, tr *trace.Trace) (savings float64, events uint64, err error) {
 	base.HeapScheduler, tech.HeapScheduler = s.HeapScheduler, s.HeapScheduler
 	base.PerEventFeeder, tech.PerEventFeeder = s.PerEventFeeder, s.PerEventFeeder
-	b, t, savings, err := core.RunBaselinePairParallel(ctx, base, tech, tr, 1)
+	b, t, savings, err := core.RunPair(ctx, base, tech, tr)
 	if err != nil {
 		return 0, 0, err
 	}

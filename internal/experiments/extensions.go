@@ -51,7 +51,7 @@ func MultiSeedSavings(ctx context.Context, r *Runner, d sim.Duration, n int, cfg
 			if err != nil {
 				return 0, err
 			}
-			_, _, s, err := core.RunBaselinePair(core.Config{}, cfg, tr)
+			_, _, s, err := core.RunPair(ctx, core.Config{}, cfg, tr)
 			if err != nil {
 				return 0, err
 			}
@@ -109,7 +109,7 @@ func DSSExtension(ctx context.Context, r *Runner, d sim.Duration, seed uint64) (
 	return mapJobs(ctx, r, len(sweepSchemes),
 		func(i int) string { return "dss/" + sweepSchemes[i] },
 		func(ctx context.Context, i int) (DSSRow, error) {
-			base, tech, savings, err := core.RunBaselinePair(core.Config{}, sweepSchemeConfig(sweepSchemes[i]), tr)
+			base, tech, savings, err := core.RunPair(ctx, core.Config{}, sweepSchemeConfig(sweepSchemes[i]), tr)
 			if err != nil {
 				return DSSRow{}, err
 			}
@@ -186,7 +186,7 @@ func TechExtension(ctx context.Context, r *Runner, d sim.Duration, seed uint64, 
 			base := core.Config{Tech: techs[i]}
 			tech := taConfig(0.10, plConfig(2))
 			tech.Tech = techs[i]
-			b, tc, savings, err := core.RunBaselinePair(base, tech, tr)
+			b, tc, savings, err := core.RunPair(ctx, base, tech, tr)
 			if err != nil {
 				return TechRow{}, err
 			}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dmamem/internal/controller"
 	"dmamem/internal/core"
 	"dmamem/internal/sim"
 	"dmamem/internal/synth"
@@ -103,9 +104,11 @@ func peakHeapDuring(fn func()) uint64 {
 // at least the record storage — the trace is never materialized. (Both
 // runs still grow with the per-transfer service-time statistics that
 // exact P95/Max reporting retains; that term is shared and excluded
-// from the comparison by construction.)
+// from the comparison by construction.) A third row runs a baseline/
+// DMA-TA pair off the same container on two goroutines and bounds its
+// peak heap by twice the lone file-backed run's.
 //
-// The test simulates the 10 s trace twice (~10 s wall-clock), so it
+// The test simulates the 10 s trace four times (~10 s wall-clock), so it
 // is gated like the bench smoke: set DMAMEM_FLATMEM=1 (CI runs it as
 // a dedicated step, without the race detector).
 func TestFileFeederFlatMemory(t *testing.T) {
@@ -170,14 +173,39 @@ func TestFileFeederFlatMemory(t *testing.T) {
 		t.Errorf("100x file-backed result differs from in-memory\nmem:  %+v\nfile: %+v", memRes, fileRes)
 	}
 	records := len(tr.Records)
-	t.Logf("records: %d; peak heap: file-backed %.1f MB, in-memory %.1f MB",
-		records, float64(peakFile)/1e6, float64(peakMem)/1e6)
+	tr = nil // drop the decoded records before the pair row measures
+
+	// The concurrent pair row: baseline and DMA-TA stream the container
+	// on two goroutines through core.RunPair, each with its own cursor.
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	defer runtime.GOMAXPROCS(prev)
+	var pairBase *core.Result
+	var pairErr error
+	peakPair := peakHeapDuring(func() {
+		tech := core.Config{TraceFile: path, TA: controller.DefaultTA(0), CPLimit: 0.10}
+		pairBase, _, _, pairErr = core.RunPair(context.Background(), core.Config{TraceFile: path}, tech, nil)
+	})
+	if pairErr != nil {
+		t.Fatal(pairErr)
+	}
+	if !reflect.DeepEqual(pairBase, fileRes) {
+		t.Errorf("concurrent pair's baseline differs from the lone file-backed run")
+	}
+	t.Logf("records: %d; peak heap: file-backed %.1f MB, in-memory %.1f MB, concurrent file-backed pair %.1f MB",
+		records, float64(peakFile)/1e6, float64(peakMem)/1e6, float64(peakPair)/1e6)
 	// The in-memory run must pay for the record slice (16 B/record);
 	// the file-backed run must not. Requiring half that gap leaves the
 	// other half as margin for sampling and collector noise.
 	if gap := int64(peakMem) - int64(peakFile); gap < int64(records)*8 {
 		t.Errorf("file-backed peak heap %.1f MB is not flat: only %.1f MB below the in-memory run (want >= %.1f MB, half the record storage)",
 			float64(peakFile)/1e6, float64(gap)/1e6, float64(records)*8/1e6)
+	}
+	// Each run of the pair is flat and they share nothing, so together
+	// they must fit in twice the lone run's peak. Measured on a 2-vCPU
+	// host: 55.9 MB against a 63.6 MB bound (lone run 31.8 MB).
+	if peakPair > 2*peakFile {
+		t.Errorf("concurrent file-backed pair peak heap %.1f MB exceeds twice the lone run's %.1f MB",
+			float64(peakPair)/1e6, float64(peakFile)/1e6)
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"dmamem/internal/core"
@@ -12,9 +11,10 @@ import (
 
 // ReplayFile streams a recorded .dmt container (docs/TRACE_FORMAT.md)
 // through the file-backed feeder — baseline and technique side by
-// side — and renders the comparison. The trace is never materialized:
-// each run holds at most two decode chunks, so an hour-scale
-// recording replays in the same flat memory as a millisecond one. The
+// side, through core.RunPair — and renders the comparison. The trace
+// is never materialized: each run holds one raw chunk and a small
+// decoded window of it, so an hour-scale recording replays in the
+// same flat memory as a millisecond one. The
 // report is bit-identical to loading the trace and running it
 // in-memory; the feeder-equivalence tests hold every Table 2
 // workload x scheme to that.
@@ -34,7 +34,7 @@ func ReplayFile(ctx context.Context, path string, cpLimit float64, groups int) (
 		label = fmt.Sprintf("dma-ta-pl(%d)", groups)
 	}
 	tech.TraceFile = path
-	b, t, savings, err := core.RunBaselinePairParallel(ctx, base, tech, nil, runtime.GOMAXPROCS(0))
+	b, t, savings, err := core.RunPair(ctx, base, tech, nil)
 	if err != nil {
 		return "", err
 	}

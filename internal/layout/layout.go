@@ -102,6 +102,12 @@ type Manager struct {
 	live        [][]int32
 	liveScratch []int32
 
+	// mark is executeMoves' page-indexed scratch set (markMoving,
+	// markDropped). Every marked page sits in one of that call's
+	// leaving lists, which clear it again, so it is all zero between
+	// rebalances.
+	mark []uint8
+
 	// Costs and statistics.
 	Rebalances       int64
 	MigratedPages    int64
@@ -136,6 +142,7 @@ func New(geo memsys.Geometry, cfg Config) (*Manager, error) {
 		tracked:     make([]bool, geo.TotalPages()),
 		live:        make([][]int32, geo.NumChips),
 		liveScratch: make([]int32, 0, geo.TotalPages()),
+		mark:        make([]uint8, geo.TotalPages()),
 	}
 	for c := range m.live {
 		m.live[c] = make([]int32, 0, geo.PagesPerChip())
@@ -435,7 +442,6 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 	cold := k - 1
 	entering := make([][]int32, k) // pages wanting in, hottest first
 	leaving := make([][]int32, k)  // pages wanting out (their chips free slots)
-	moving := make(map[int32]bool)
 
 	// Hot-set movers, hottest first (liveOrder is popularity-sorted
 	// and targets were assigned along its prefix).
@@ -454,7 +460,7 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 		}
 		entering[tgt] = append(entering[tgt], p)
 		leaving[cur] = append(leaving[cur], p)
-		moving[p] = true
+		m.mark[p] |= markMoving
 	}
 
 	// Room-making evictions: a hot group receiving more pages than it
@@ -468,7 +474,7 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 			if !ok {
 				break
 			}
-			if target[p] >= 0 || moving[p] {
+			if target[p] >= 0 || m.mark[p]&markMoving != 0 {
 				continue
 			}
 			if groupOfChip[m.loc[p]] != g {
@@ -479,12 +485,10 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 			}
 			entering[cold] = append(entering[cold], p)
 			leaving[g] = append(leaving[g], p)
-			moving[p] = true
+			m.mark[p] |= markMoving
 			deficit--
 		}
 	}
-	dropped := make(map[int32]bool)
-
 	// Hysteresis: for each hot group, cancel marginal swaps. The
 	// least-popular would-be enterer and the most-popular would-be
 	// leaver are a swap pair; if the enterer is not clearly hotter
@@ -508,8 +512,8 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 			i := 0
 			for i < len(in) && i < len(out) {
 				if float64(m.counts[in[i]]) < m.cfg.MigrateRatio*float64(m.counts[out[i]]) {
-					dropped[in[i]] = true
-					dropped[out[i]] = true
+					m.mark[in[i]] |= markDropped
+					m.mark[out[i]] |= markDropped
 					i++
 					continue
 				}
@@ -527,14 +531,14 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 		for g := 0; g < k; g++ {
 			live := 0
 			for _, p := range leaving[g] {
-				if !dropped[p] {
+				if !m.dropped(p) {
 					live++
 				}
 			}
 			in := entering[g]
 			liveIn := 0
 			for _, p := range in {
-				if !dropped[p] {
+				if !m.dropped(p) {
 					liveIn++
 				}
 			}
@@ -543,8 +547,8 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 				// popularity order only incidentally; scan from the
 				// back).
 				for i := len(in) - 1; i >= 0; i-- {
-					if !dropped[in[i]] {
-						dropped[in[i]] = true
+					if !m.dropped(in[i]) {
+						m.mark[in[i]] |= markDropped
 						liveIn--
 						changed = true
 						break
@@ -560,7 +564,7 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 	freed := make([][]uint16, k)
 	for g := 0; g < k; g++ {
 		for _, p := range leaving[g] {
-			if !dropped[p] {
+			if !m.dropped(p) {
 				freed[g] = append(freed[g], m.loc[p])
 			}
 		}
@@ -575,7 +579,7 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 		slots := freed[g]
 		si := 0
 		for _, p := range entering[g] {
-			if dropped[p] {
+			if m.dropped(p) {
 				continue
 			}
 			if si >= len(slots) {
@@ -587,9 +591,22 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 			m.MigrationEnergyJ += perMoveJ
 		}
 	}
+	for _, out := range leaving {
+		for _, p := range out {
+			m.mark[p] = 0
+		}
+	}
 	m.MigratedPages += int64(moves)
 	return moves
 }
+
+// Bits of Manager.mark.
+const (
+	markMoving  uint8 = 1 << iota // a mover or evictee this rebalance
+	markDropped                   // cancelled by hysteresis or trimming
+)
+
+func (m *Manager) dropped(p int32) bool { return m.mark[p]&markDropped != 0 }
 
 // age shifts the counters of the live pages; every other page already
 // counts zero, so touching only the live set matches the reference

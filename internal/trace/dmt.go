@@ -7,10 +7,11 @@
 //     plain io.Writer and only ever holds one chunk of records; totals
 //     live in a footer, so nothing is patched retroactively and the
 //     sink never needs to seek.
-//   - Readers stream. A Cursor decodes one chunk at a time into a
-//     reused buffer (one raw chunk block plus one decoded chunk are
-//     resident, never more), so replaying a 100x-longer trace costs
-//     the same memory as a short one.
+//   - Readers stream. A Cursor reads and validates one chunk at a time
+//     into a reused buffer and decodes its records a small window at a
+//     time (one raw chunk block plus the window are resident, never
+//     more), so replaying a 100x-longer trace costs the same memory as
+//     a short one.
 //
 // Records are stored column-wise per chunk: arrival times as uvarint
 // deltas (the dominant column compresses from 8 bytes to typically 2-3
@@ -28,7 +29,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
+	"slices"
 
 	"dmamem/internal/memsys"
 	"dmamem/internal/sim"
@@ -39,9 +42,9 @@ import (
 // byte (TestDMTSpecExample pins the worked example from the doc).
 const (
 	// DefaultChunkRecords is the writer's default chunk capacity:
-	// 65536 records per chunk is ~0.8 MB encoded, small enough that
-	// two resident chunk buffers are negligible and large enough that
-	// chunk framing overhead vanishes.
+	// 65536 records per chunk is ~0.8 MB encoded, small enough that a
+	// resident raw chunk is negligible and large enough that chunk
+	// framing overhead vanishes.
 	DefaultChunkRecords = 1 << 16
 	// MaxChunkRecords bounds the per-chunk record count a reader will
 	// accept, which in turn bounds the decode buffer a hostile header
@@ -458,31 +461,51 @@ func (r *Reader) Summary() FileSummary { return r.sum }
 // Reader (each owns its buffers), but an individual Cursor is
 // single-goroutine like everything else in the simulator.
 func (r *Reader) Cursor() *Cursor {
+	sec := io.NewSectionReader(r.ra, 0, r.size-dmtFooterSize)
 	return &Cursor{
-		r:  r,
-		br: bufio.NewReaderSize(io.NewSectionReader(r.ra, 0, r.size-dmtFooterSize), 1<<16),
+		r:   r,
+		sec: sec,
+		br:  bufio.NewReaderSize(sec, 1<<16),
+		win: make([]Record, 0, min(cursorWindow, r.sum.ChunkRecords)),
 	}
 }
 
-// Cursor streams the records of a .dmt container in order, one chunk
-// resident at a time: a raw chunk block and its decoded records are
-// the only per-cursor buffers, both reused across chunks, so memory
-// stays flat no matter how long the trace is. The checksum is
-// accumulated as chunks stream by and verified against the footer when
-// the end marker is reached; any malformed byte turns into Err.
+// cursorWindow is the number of records a Cursor decodes at a time
+// from the current chunk's validated payload.
+const cursorWindow = 2048
+
+// Cursor streams the records of a .dmt container in order. Its
+// buffers are one raw chunk block and a window of at most
+// cursorWindow decoded records, both reused across chunks, so memory
+// stays flat no matter how long the trace is. Each chunk is validated
+// in full when it is read — any malformed byte fails there — and its
+// records are then decoded a window at a time as the cursor advances.
+// The checksum is accumulated as chunks stream by and verified against
+// the footer when the end marker is reached; any malformed byte turns
+// into Err.
 type Cursor struct {
 	r   *Reader
+	sec *io.SectionReader
 	br  *bufio.Reader
 	crc uint32
 
-	buf []Record // decoded current chunk
-	idx int
-	raw []byte               // reused raw chunk payload
+	win []Record // decoded window of the current chunk
+	idx int      // next record of win
+
+	// The current chunk: its validated payload and the position of the
+	// first record not yet decoded into a window.
+	raw   []byte
+	count int      // records in the chunk
+	next  int      // index of the first undecoded record
+	tOff  int      // offset in raw of that record's time varint
+	cols  int      // offset in raw of the kind column (end of the time column)
+	tPrev sim.Time // time of the last decoded record
+
 	hdr [dmtChunkHeader]byte // reused chunk-header scratch (kept on the
 	// cursor so reading through the io.ReadFull interface cannot make
 	// it escape per chunk)
 
-	prevTime   sim.Time
+	prevTime   sim.Time // time of the last record of the last loaded chunk
 	records    int64
 	chunks     int64
 	skippedHdr bool
@@ -500,15 +523,8 @@ func (c *Cursor) Err() error { return c.err }
 // the trace ended cleanly or the cursor failed — check Err to
 // distinguish.
 func (c *Cursor) Peek() (Record, bool) {
-	if c.idx < len(c.buf) {
-		return c.buf[c.idx], true
-	}
-	if c.done || c.err != nil {
-		return Record{}, false
-	}
-	c.loadChunk()
-	if c.idx < len(c.buf) {
-		return c.buf[c.idx], true
+	if c.idx < len(c.win) || c.fill() {
+		return c.win[c.idx], true
 	}
 	return Record{}, false
 }
@@ -516,7 +532,7 @@ func (c *Cursor) Peek() (Record, bool) {
 // Advance consumes the record Peek returned. Advancing past the end is
 // a programming error and panics.
 func (c *Cursor) Advance() {
-	if c.idx >= len(c.buf) {
+	if c.idx >= len(c.win) {
 		panic("trace: Cursor.Advance past end")
 	}
 	c.idx++
@@ -532,6 +548,108 @@ func (c *Cursor) Next() (Record, bool) {
 	return r, ok
 }
 
+// Rewind positions the cursor before the first record again, clearing
+// its error, so the container can be streamed a second time. The
+// cursor keeps its buffers: a second pass over a container the cursor
+// has already streamed allocates nothing.
+func (c *Cursor) Rewind() {
+	c.sec.Seek(0, io.SeekStart) // cannot fail: offset 0 from the start
+	c.br.Reset(c.sec)
+	c.crc = 0
+	c.win, c.idx = c.win[:0], 0
+	c.count, c.next = 0, 0
+	c.prevTime, c.records, c.chunks = 0, 0, 0
+	c.skippedHdr, c.done, c.err = false, false, nil
+}
+
+// fill decodes the next window into c.win, loading the next chunk when
+// the current one is used up. It reports whether a record is ready.
+func (c *Cursor) fill() bool {
+	if c.next == c.count {
+		if c.done || c.err != nil {
+			return false
+		}
+		c.loadChunk()
+		if c.next == c.count {
+			return false
+		}
+	}
+	c.win = c.win[:min(cap(c.win), c.count-c.next)]
+	c.decode(c.win)
+	c.idx = 0
+	return true
+}
+
+// decode fills dst with the current chunk's next len(dst) records.
+// The chunk was validated when it was loaded, so decoding cannot fail.
+func (c *Cursor) decode(dst []Record) {
+	n, i0, raw := len(dst), c.next, c.raw
+	kind := raw[c.cols+i0:][:n]
+	src := raw[c.cols+c.count+i0:][:n]
+	bus := raw[c.cols+2*c.count+i0:][:n]
+	pages := raw[c.cols+3*c.count+2*i0:][:2*n]
+	page := raw[c.cols+5*c.count+4*i0:][:4*n]
+	o, t := c.tOff, c.tPrev
+	for i := range dst {
+		// Eight bytes from any varint of the time column stay in raw:
+		// at least one record's nine fixed-width bytes follow it.
+		v, k := uvarint8(binary.LittleEndian.Uint64(raw[o:]))
+		if k == 0 {
+			v, k = binary.Uvarint(raw[o:])
+		}
+		o += k
+		t += sim.Time(v)
+		dst[i] = Record{
+			Time:   t,
+			Kind:   Kind(kind[i]),
+			Source: Source(src[i]),
+			Bus:    bus[i],
+			Pages:  binary.LittleEndian.Uint16(pages[2*i:]),
+			Page:   memsys.PageID(binary.LittleEndian.Uint32(page[4*i:])),
+		}
+	}
+	c.next += n
+	c.tOff, c.tPrev = o, t
+}
+
+// appendRest consumes every remaining record, appending it to dst.
+// Whole chunks decode straight into dst rather than through the
+// window. Check Err afterwards, as after Peek.
+func (c *Cursor) appendRest(dst []Record) []Record {
+	dst = append(dst, c.win[c.idx:]...)
+	c.win, c.idx = c.win[:0], 0
+	for {
+		if c.next == c.count {
+			if c.done || c.err != nil {
+				return dst
+			}
+			c.loadChunk()
+			continue
+		}
+		n := c.count - c.next
+		dst = slices.Grow(dst, n)
+		c.decode(dst[len(dst) : len(dst)+n])
+		dst = dst[:len(dst)+n]
+	}
+}
+
+// uvarint8 decodes the uvarint whose bytes start at the low end of
+// the little-endian word x, without branching on its length. It
+// returns the value and the varint's length, or n = 0 when the varint
+// is longer than eight bytes.
+func uvarint8(x uint64) (v uint64, n int) {
+	stop := ^x & 0x8080808080808080 // high bit clear: the last byte
+	if stop == 0 {
+		return 0, 0
+	}
+	n = bits.TrailingZeros64(stop)/8 + 1
+	x &= (stop ^ (stop - 1)) & 0x7f7f7f7f7f7f7f7f // the varint's 7-bit groups
+	x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
+	x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
+	x = x&0x000000000fffffff | x&0x0fffffff00000000>>4
+	return x, n
+}
+
 // read fills b fully from the chunk stream, folding the bytes into
 // the running checksum.
 func (c *Cursor) read(b []byte) error {
@@ -542,26 +660,38 @@ func (c *Cursor) read(b []byte) error {
 	return nil
 }
 
-// loadChunk decodes the next chunk block into c.buf, or finishes the
-// stream at the end marker (verifying totals and checksum against the
-// footer). On any failure it records c.err and leaves the cursor
-// empty.
+// loadChunk reads and validates the next chunk block into c.raw, or
+// finishes the stream at the end marker (verifying totals and checksum
+// against the footer). On any failure it records c.err and leaves the
+// cursor empty, keeping its buffers.
 func (c *Cursor) loadChunk() {
 	if err := c.load(); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			err = dmtErrf("chunk stream truncated after %d records: %v", c.records, err)
 		}
 		c.err = err
-		c.buf, c.idx = nil, 0
+		c.count, c.next = 0, 0
+		c.win, c.idx = c.win[:0], 0
 	}
 }
 
+// grow returns c.raw resliced to n bytes, reallocating only when its
+// capacity is short.
+func (c *Cursor) grow(n int) []byte {
+	if cap(c.raw) < n {
+		c.raw = make([]byte, n)
+	}
+	c.raw = c.raw[:n]
+	return c.raw
+}
+
+// load reads the next chunk block and validates every column of it,
+// leaving the decode position at its first record.
 func (c *Cursor) load() error {
 	if !c.skippedHdr {
 		// Hash the header region so the checksum covers the whole
 		// container body, then position at the first chunk.
-		hdr := make([]byte, c.r.hdrLen)
-		if err := c.read(hdr); err != nil {
+		if err := c.read(c.grow(c.r.hdrLen)); err != nil {
 			return err
 		}
 		c.skippedHdr = true
@@ -588,71 +718,58 @@ func (c *Cursor) load() error {
 		return dmtErrf("chunk %d payload of %d bytes outside [%d, %d] for %d records",
 			c.chunks, payloadLen, int64(count)*dmtMinRecordBytes, int64(count)*dmtMaxRecordBytes, count)
 	}
-	if cap(c.raw) < int(payloadLen) {
-		c.raw = make([]byte, payloadLen)
-	}
-	c.raw = c.raw[:payloadLen]
-	if err := c.read(c.raw); err != nil {
+	raw := c.grow(int(payloadLen))
+	if err := c.read(raw); err != nil {
 		return err
 	}
-	if cap(c.buf) < count {
-		c.buf = make([]Record, count)
-	}
-	c.buf = c.buf[:count]
-	c.idx = 0
 
 	// Column 1: time deltas.
 	o := 0
 	prev := base
 	for i := 0; i < count; i++ {
-		v, n := binary.Uvarint(c.raw[o:])
-		if n <= 0 {
-			return dmtErrf("chunk %d: record %d: bad time varint", c.chunks, i)
+		var v uint64
+		var n int
+		if len(raw)-o >= 8 {
+			v, n = uvarint8(binary.LittleEndian.Uint64(raw[o:]))
+		}
+		if n == 0 {
+			if v, n = binary.Uvarint(raw[o:]); n <= 0 {
+				return dmtErrf("chunk %d: record %d: bad time varint", c.chunks, i)
+			}
 		}
 		o += n
 		if v > uint64(math.MaxInt64) || int64(prev) > math.MaxInt64-int64(v) {
 			return dmtErrf("chunk %d: record %d: time overflow", c.chunks, i)
 		}
 		prev += sim.Time(v)
-		c.buf[i].Time = prev
 	}
 	// Columns 2-6: fixed width.
 	need := count * (dmtMinRecordBytes - 1)
-	if len(c.raw)-o != need {
-		return dmtErrf("chunk %d: %d column bytes after the time column, want %d", c.chunks, len(c.raw)-o, need)
+	if len(raw)-o != need {
+		return dmtErrf("chunk %d: %d column bytes after the time column, want %d", c.chunks, len(raw)-o, need)
 	}
-	for i := 0; i < count; i++ {
-		k := Kind(c.raw[o+i])
-		if k >= numKinds {
-			return dmtErrf("chunk %d: record %d: invalid kind %d", c.chunks, i, k)
+	cols := o
+	for i, k := range raw[o : o+count] {
+		if Kind(k) >= numKinds {
+			return dmtErrf("chunk %d: record %d: invalid kind %d", c.chunks, i, Kind(k))
 		}
-		c.buf[i].Kind = k
 	}
 	o += count
-	for i := 0; i < count; i++ {
-		s := Source(c.raw[o+i])
-		if s >= numSources {
-			return dmtErrf("chunk %d: record %d: invalid source %d", c.chunks, i, s)
+	for i, s := range raw[o : o+count] {
+		if Source(s) >= numSources {
+			return dmtErrf("chunk %d: record %d: invalid source %d", c.chunks, i, Source(s))
 		}
-		c.buf[i].Source = s
 	}
-	o += count
+	o += 4 * count // past the source, bus and pages columns to the page column
 	for i := 0; i < count; i++ {
-		c.buf[i].Bus = c.raw[o+i]
-	}
-	o += count
-	for i := 0; i < count; i++ {
-		c.buf[i].Pages = binary.LittleEndian.Uint16(c.raw[o+2*i:])
-	}
-	o += 2 * count
-	for i := 0; i < count; i++ {
-		p := binary.LittleEndian.Uint32(c.raw[o+4*i:])
+		p := binary.LittleEndian.Uint32(raw[o+4*i:])
 		if p > math.MaxInt32 {
 			return dmtErrf("chunk %d: record %d: page %d out of range", c.chunks, i, p)
 		}
-		c.buf[i].Page = memsys.PageID(p)
 	}
 
+	c.count, c.next = count, 0
+	c.tOff, c.cols, c.tPrev = 0, cols, base
 	c.prevTime = prev
 	c.records += int64(count)
 	c.chunks++
@@ -679,7 +796,8 @@ func (c *Cursor) finish() error {
 		return dmtErrf("checksum mismatch: body %08x, footer %08x", c.crc, c.r.crcWant)
 	}
 	c.done = true
-	c.buf, c.idx = nil, 0
+	c.count, c.next = 0, 0
+	c.win, c.idx = c.win[:0], 0
 	return nil
 }
 
@@ -727,13 +845,7 @@ func DecodeDMT(data []byte) (*Trace, error) {
 		tr.Records = make([]Record, 0, sum.Records)
 	}
 	cur := r.Cursor()
-	for {
-		rec, ok := cur.Next()
-		if !ok {
-			break
-		}
-		tr.Records = append(tr.Records, rec)
-	}
+	tr.Records = cur.appendRest(tr.Records)
 	if err := cur.Err(); err != nil {
 		return nil, err
 	}

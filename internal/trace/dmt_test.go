@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -333,6 +334,162 @@ func TestDMTCursorFlatMemory(t *testing.T) {
 // the spec's three-record container must encode to exactly the bytes
 // the document lists, and decode back to the same records. If this
 // test fails, either the format changed (bump the version and rewrite
+// TestCursorWindowMatchesFullDecode pins the windowed decode against
+// the in-memory records at chunk sizes around the decode window and
+// far from it: the cursor must yield exactly the records, a rewound
+// second pass must yield them again, the decoded buffer must never
+// outgrow the window, and the whole-chunk DecodeDMT path must agree.
+func TestCursorWindowMatchesFullDecode(t *testing.T) {
+	const w = cursorWindow
+	tr := testTrace(4*(3*w+7) + 5)
+	for _, chunk := range []int{1, w - 1, w, w + 1, 3*w + 7, 1 << 16} {
+		data := encodeDMT(t, tr, WriterOptions{ChunkRecords: chunk})
+		r, err := NewReader(newByteReaderAt(data), int64(len(data)))
+		if err != nil {
+			t.Fatalf("chunk %d: NewReader: %v", chunk, err)
+		}
+		cur := r.Cursor()
+		for pass := 1; pass <= 2; pass++ {
+			n := 0
+			for {
+				rec, ok := cur.Next()
+				if c := cap(cur.win); c > w {
+					t.Fatalf("chunk %d pass %d: decoded buffer capacity %d exceeds the window %d", chunk, pass, c, w)
+				}
+				if !ok {
+					break
+				}
+				if n >= len(tr.Records) || rec != tr.Records[n] {
+					t.Fatalf("chunk %d pass %d: record %d = %+v, want %+v", chunk, pass, n, rec, tr.Records[min(n, len(tr.Records)-1)])
+				}
+				n++
+			}
+			if err := cur.Err(); err != nil || n != len(tr.Records) {
+				t.Fatalf("chunk %d pass %d: %d of %d records, err %v", chunk, pass, n, len(tr.Records), err)
+			}
+			cur.Rewind()
+		}
+		dec, err := DecodeDMT(data)
+		if err != nil {
+			t.Fatalf("chunk %d: DecodeDMT: %v", chunk, err)
+		}
+		if !slices.Equal(dec.Records, tr.Records) {
+			t.Fatalf("chunk %d: DecodeDMT records differ from the written trace", chunk)
+		}
+	}
+}
+
+// TestCursorRewindZeroAlloc is the rewind allocation guard: once a
+// cursor has streamed a container, rewinding it and streaming it again
+// allocates nothing, so the file-backed run's simulated pass reuses
+// its validation pass's buffers.
+func TestCursorRewindZeroAlloc(t *testing.T) {
+	tr := testTrace(5000)
+	path := filepath.Join(t.TempDir(), "rewind.dmt")
+	if err := os.WriteFile(path, encodeDMT(t, tr, WriterOptions{ChunkRecords: 1500}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := OpenDMTFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	cur := fr.Cursor()
+	scan := func() {
+		n := 0
+		for {
+			if _, ok := cur.Next(); !ok {
+				break
+			}
+			n++
+		}
+		if cur.Err() != nil || n != len(tr.Records) {
+			t.Fatalf("scan: %d of %d records, err %v", n, len(tr.Records), cur.Err())
+		}
+	}
+	scan()
+	if allocs := testing.AllocsPerRun(5, func() { cur.Rewind(); scan() }); allocs != 0 {
+		t.Fatalf("a rewound pass allocated %.1f times, want 0", allocs)
+	}
+}
+
+// TestCursorRewindAfterError: Rewind clears a failed cursor's error,
+// and the malformed byte fails the second pass at the same record.
+func TestCursorRewindAfterError(t *testing.T) {
+	data := encodeDMT(t, testTrace(100), WriterOptions{ChunkRecords: 16})
+	data[len(data)-8] ^= 1 // footer checksum
+	r, err := NewReader(newByteReaderAt(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := r.Cursor()
+	var errs [2]string
+	var counts [2]int
+	for pass := range errs {
+		for {
+			if _, ok := cur.Next(); !ok {
+				break
+			}
+			counts[pass]++
+		}
+		if cur.Err() == nil {
+			t.Fatalf("pass %d: corrupted checksum accepted", pass)
+		}
+		errs[pass] = cur.Err().Error()
+		cur.Rewind()
+		if cur.Err() != nil {
+			t.Fatalf("Rewind kept the error %v", cur.Err())
+		}
+	}
+	if errs[0] != errs[1] || counts[0] != counts[1] || counts[0] != 100 {
+		t.Fatalf("passes differ: %d records %q vs %d records %q", counts[0], errs[0], counts[1], errs[1])
+	}
+}
+
+// BenchmarkCursorScan streams a multi-chunk container through the
+// Peek/Advance pair the file feeder uses.
+func BenchmarkCursorScan(b *testing.B) {
+	var buf bytes.Buffer
+	tr := testTrace(200_000)
+	if err := tr.WriteDMT(&buf, WriterOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	r, err := NewReader(newByteReaderAt(data), int64(len(data)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cur := r.Cursor()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur.Rewind()
+		for {
+			if _, ok := cur.Peek(); !ok {
+				break
+			}
+			cur.Advance()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Records)), "ns/record")
+}
+
+// BenchmarkDecodeDMT decodes a multi-chunk container into memory, as
+// ReadTraceFile does.
+func BenchmarkDecodeDMT(b *testing.B) {
+	var buf bytes.Buffer
+	if err := testTrace(200_000).WriteDMT(&buf, WriterOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeDMT(buf.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // the spec) or the document drifted.
 func TestDMTSpecExample(t *testing.T) {
 	tr := &Trace{

@@ -231,8 +231,8 @@ type TraceFileInfo struct {
 	// Duration is the simulated span the trace covers.
 	Duration time.Duration
 	// ChunkRecords is the container's chunk size (records per chunk);
-	// Chunks is the number of chunks. Replaying the file keeps at most
-	// one decoded chunk in memory.
+	// Chunks is the number of chunks. Replaying the file keeps one raw
+	// chunk and a window of at most 2048 decoded records in memory.
 	ChunkRecords int
 	Chunks       int64
 }

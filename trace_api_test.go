@@ -3,6 +3,7 @@ package dmamem
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -153,7 +154,8 @@ func TestRunAndCompareValidateLoudly(t *testing.T) {
 }
 
 // TestCompareContextCancel: a cancelled context aborts the comparison
-// mid-run with the context's error.
+// with the context's error, whether the pair runs sequentially
+// (GOMAXPROCS 1) or on two goroutines.
 func TestCompareContextCancel(t *testing.T) {
 	tr, err := SyntheticStorageTrace(SyntheticOptions{Duration: 20 * time.Millisecond})
 	if err != nil {
@@ -161,10 +163,12 @@ func TestCompareContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, parallel := range []int{1, 2} {
-		_, err = CompareContext(ctx, Simulation{Technique: TemporalAlignment, CPLimit: 0.10}, tr, parallel)
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		_, err = CompareContext(ctx, Simulation{Technique: TemporalAlignment, CPLimit: 0.10}, tr)
+		runtime.GOMAXPROCS(prev)
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("parallel=%d: err = %v, want context.Canceled", parallel, err)
+			t.Errorf("GOMAXPROCS=%d: err = %v, want context.Canceled", procs, err)
 		}
 	}
 }
