@@ -4,7 +4,6 @@
 // Usage:
 //
 //	dmamem-bench [-duration 100ms] [-seed 1] [-parallel N] [-timing]
-//	             [-scheduler wheel|heap] [-feeder batched|per-event]
 //	             [-shards N] [-shard-addrs host:port,...]
 //	             [-shard-worker] [-shard-listen addr]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -15,7 +14,7 @@
 //
 // -replay file.dmt skips the figures and instead streams a recorded
 // .dmt trace (see `dmamem-trace record` and docs/TRACE_FORMAT.md)
-// through the file-backed feeder, baseline vs technique, in flat
+// through the simulator, baseline vs technique, in flat
 // memory regardless of trace length.
 //
 // Each figure prints the same series the paper plots; EXPERIMENTS.md
@@ -24,12 +23,7 @@
 // GOMAXPROCS); the printed output is byte-identical at any
 // parallelism. -timing prints a per-run wall-clock summary to stderr,
 // including events/sec and allocations per event when available.
-// -scheduler and -feeder select the engine's pending-event store
-// (hierarchical timer wheel vs reference binary heap) and trace
-// delivery path (batched cursor feeder vs one event per record
-// timestamp); every combination prints byte-identical results, only
-// the wall-clock changes, which makes the flags a self-service
-// cross-check and a profiling aid. -cpuprofile and -memprofile write
+// -cpuprofile and -memprofile write
 // pprof profiles of the whole run for `go tool pprof`.
 //
 // -shards N runs the sweep figures (5, 8, 9, 10) through the
@@ -81,8 +75,6 @@ func realMain() int {
 	fig := flag.String("fig", "all", "which figure/table to regenerate")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent simulation runs (1 = sequential)")
 	timing := flag.Bool("timing", false, "print a per-run wall-clock timing summary to stderr")
-	scheduler := flag.String("scheduler", "wheel", "engine event store: wheel (timer wheel) or heap (reference binary heap)")
-	feeder := flag.String("feeder", "batched", "trace delivery: batched (cursor feeder) or per-event")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	shards := flag.Int("shards", 0, "run sweep figures across N worker processes (0 = in-process)")
@@ -92,7 +84,7 @@ func realMain() int {
 	shardTimeout := flag.Duration("shard-timeout", 0, "per-slice deadline before the coordinator retries on a fresh worker (0 = none)")
 	channelsFlag := flag.String("channels", "", "comma-separated channel counts added to the figure 10 sweep (e.g. 1,2,4; empty = legacy single-channel)")
 	techFlag := flag.String("tech", "", "comma-separated memory technologies for the tech extension and the figure 10 sweep (e.g. ddr4-2400,lpddr4; empty = every backend for tech, RDRAM-only for figure 10)")
-	replayFile := flag.String("replay", "", "replay a recorded .dmt trace through the file-backed feeder instead of running figures")
+	replayFile := flag.String("replay", "", "replay a recorded .dmt trace, streamed from disk, instead of running figures")
 	replayCP := flag.Float64("replay-cp-limit", 0.10, "CP-Limit for the -replay technique run")
 	replayGroups := flag.Int("replay-groups", 2, "PL popularity groups for -replay (0 = DMA-TA only)")
 	flag.Parse()
@@ -170,22 +162,6 @@ func realMain() int {
 	s := experiments.NewSuite(fromStd(*duration), *seed)
 	s.DbDuration = fromStd(*dbDuration)
 	s.Runner = runner
-	switch *scheduler {
-	case "wheel":
-	case "heap":
-		s.HeapScheduler = true
-	default:
-		fmt.Fprintf(os.Stderr, "dmamem-bench: unknown -scheduler %q (want wheel or heap)\n", *scheduler)
-		return 2
-	}
-	switch *feeder {
-	case "batched":
-	case "per-event":
-		s.PerEventFeeder = true
-	default:
-		fmt.Fprintf(os.Stderr, "dmamem-bench: unknown -feeder %q (want batched or per-event)\n", *feeder)
-		return 2
-	}
 	channels, err := parseChannels(*channelsFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)

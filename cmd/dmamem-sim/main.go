@@ -5,8 +5,8 @@
 //
 //	dmamem-sim [flags]
 //	  -trace file        binary trace (default: generate Synthetic-St);
-//	                     a .dmt container streams through the
-//	                     file-backed feeder in flat memory
+//	                     a .dmt container streams from disk
+//	                     in flat memory
 //	  -workload name     synthetic-st | synthetic-db | oltp-st | oltp-db
 //	  -duration 100ms    duration of the generated trace
 //	  -scheme name       baseline | dma-ta | dma-ta-pl | no-pm
@@ -87,8 +87,8 @@ func main() {
 	}
 	var tr *dmamem.Trace
 	if *traceFile != "" && isDMT(*traceFile) {
-		// Stream the container through the file-backed feeder: the
-		// report is bit-identical to loading it, in flat memory.
+		// Stream the container from disk: the report is
+		// bit-identical to loading it, in flat memory.
 		s.TraceFile = *traceFile
 		st, err := dmamem.StatTraceFile(*traceFile)
 		if err != nil {

@@ -12,8 +12,8 @@
 // record streams a workload straight to the columnar on-disk .dmt
 // container (docs/TRACE_FORMAT.md): the synthetic generators emit
 // record by record into the chunked writer, so an hour-scale trace
-// records in flat memory. replay simulates such a file through the
-// file-backed feeder — again in flat memory — and prints the same
+// records in flat memory. replay simulates such a file streamed from
+// disk — again in flat memory — and prints the same
 // report dmamem-sim would for the equivalent in-memory trace, bit for
 // bit. info auto-detects the container: on a .dmt it prints the
 // footer summary without materializing a single record; on a legacy

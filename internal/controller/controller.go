@@ -100,13 +100,6 @@ type Config struct {
 	// means the paper's RDRAM part (the registry default).
 	// Geometry.ChipBandwidth should match the model's bandwidth.
 	Model *energy.Model
-	// FullScanAccounting disables the dirty-set optimization and
-	// charges every resident-Active chip on every event, as the
-	// original implementation did. Reports are bit-identical either
-	// way (the cross-check test in internal/experiments proves it);
-	// the full scan is kept as the reference mode for that proof and
-	// for debugging.
-	FullScanAccounting bool
 }
 
 // Validate reports a descriptive error for unusable configs.
@@ -220,7 +213,6 @@ type Controller struct {
 	// Dirty-set accounting state (see account.go). dirtyChips is kept
 	// sorted by chip ID; lastAccount is the instant of the last global
 	// accountAll.
-	fullScan    bool
 	dirtyChips  []*chipState
 	lastAccount sim.Time
 
@@ -332,7 +324,6 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 		lineTime: cfg.Geometry.CacheLineServiceTime(),
 		reqBytes: memsys.RequestBytes,
 
-		fullScan:        cfg.FullScanAccounting,
 		lastAccount:     eng.Now(),
 		busRateScratch:  make([]float64, cfg.Buses.Count),
 		busSeenScratch:  make([]bool, cfg.Buses.Count),

@@ -51,16 +51,11 @@ type Config struct {
 	Mapper memsys.Mapper
 	// Tech selects the memory technology by registry name ("rdram",
 	// "ddr400", "ddr3-1600", "ddr4-2400", "lpddr4", or an alias).
-	// Empty means MemSpec if set, else the registry default (the
-	// paper's RDRAM part). Unknown names error loudly, listing the
-	// registered technologies. When the geometry is defaulted, the
-	// chip bandwidth follows the resolved model.
+	// Empty means the registry default (the paper's RDRAM part).
+	// Unknown names error loudly, listing the registered technologies.
+	// When the geometry is defaulted, the chip bandwidth follows the
+	// resolved model.
 	Tech string
-	// MemSpec selects the memory technology by explicit legacy 4-state
-	// spec; it is converted to its energy.Model form and produces
-	// bit-identical reports to registering the same numbers. Mutually
-	// exclusive with Tech.
-	MemSpec *energy.Spec
 	// MeterWindow fixes the energy metering window; zero means the
 	// trace duration plus 2 ms of drain. Comparisons between schemes
 	// must use equal windows.
@@ -76,55 +71,19 @@ type Config struct {
 	// Scheme labels the report; empty derives "baseline"/"dma-ta"/
 	// "dma-ta-pl" from TA and PL.
 	Scheme string
-	// FullScanAccounting makes the controller charge every active chip
-	// on every event instead of using its dirty-set accounting.
-	// Results are bit-identical either way; the knob exists for the
-	// cross-check test and debugging.
-	FullScanAccounting bool
-	// HeapScheduler backs the engine with the reference binary-heap
-	// event store (O(log n) operations) instead of the default
-	// hierarchical timer wheel (amortized O(1)). Results are
-	// bit-identical either way; the knob exists for the cross-check
-	// test and debugging, mirroring FullScanAccounting.
-	HeapScheduler bool
-	// PerEventFeeder delivers trace records through a self-advancing
-	// engine event per distinct record timestamp instead of the
-	// default batched cursor feeder that bypasses the scheduler.
-	// Results are bit-identical either way (one engine step per
-	// distinct timestamp in both modes); the knob exists for the
-	// cross-check test and debugging.
-	PerEventFeeder bool
 	// TraceFile streams the trace from a .dmt container on disk instead
 	// of an in-memory trace: pass a nil trace to Run/RunContext and set
 	// this path. Records are decoded chunk by chunk (bounded memory
 	// regardless of trace length) and the report is bit-identical to
 	// running the same records from memory. Mutually exclusive with a
-	// non-nil trace and with PerEventFeeder.
+	// non-nil trace.
 	TraceFile string
-}
-
-// resolveModel turns the Tech / MemSpec selection into the technology
-// model the run will use. Exactly one may be set; neither means the
-// registry default (the paper's RDRAM part, bit-identical to the
-// legacy Spec arithmetic).
-func (c Config) resolveModel() (*energy.Model, error) {
-	if c.Tech != "" && c.MemSpec != nil {
-		return nil, fmt.Errorf("core: both Tech %q and MemSpec %q set; pass one", c.Tech, c.MemSpec.Name)
-	}
-	if c.MemSpec != nil {
-		m := c.MemSpec.Model()
-		if err := m.Validate(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-	return energy.Lookup(c.Tech)
 }
 
 // withDefaults resolves the technology model and returns a fully
 // populated copy.
 func (c Config) withDefaults() (Config, *energy.Model, error) {
-	model, err := c.resolveModel()
+	model, err := energy.Lookup(c.Tech)
 	if err != nil {
 		return c, nil, err
 	}
@@ -180,19 +139,16 @@ func (r *Result) SimEvents() uint64 {
 	return r.Report.Events
 }
 
-// Calibrate derives the CP-Limit -> mu calibration from a trace: the
+// calibrate derives the CP-Limit -> mu calibration of a trace: the
 // client response time and critical-path transfer count from the
 // trace's metadata (with documented fallbacks for bare traces) and the
-// mean DMA-memory requests per transfer from the trace itself.
-func Calibrate(tr *trace.Trace, geo memsys.Geometry, buses bus.Config) metrics.Calibration {
-	return calibrate(tr.Meta, trace.Analyze(tr).MeanTransferPages(), geo, buses)
-}
-
-// calibrate is the shared CP-Limit calibration core. Both trace
-// sources go through it with identical inputs — the in-memory path
-// via trace.Analyze, the file-backed path via the .dmt footer's
-// aggregate DMA totals — so the derived mu is bit-identical.
-func calibrate(meta trace.Meta, meanTransferPages float64, geo memsys.Geometry, buses bus.Config) metrics.Calibration {
+// mean DMA-memory requests per transfer from the DMA totals the
+// pre-run pass counted over the records.
+func calibrate(meta trace.Meta, tot totals, geo memsys.Geometry, buses bus.Config) metrics.Calibration {
+	var meanTransferPages float64
+	if tot.dmaTransfers > 0 {
+		meanTransferPages = float64(tot.dmaPages) / float64(tot.dmaTransfers)
+	}
 	cal := metrics.Calibration{
 		MeanClientResponse:      meta.MeanClientResponse,
 		TransfersPerRequest:     meta.TransfersPerClientRequest,
@@ -228,16 +184,16 @@ func Run(cfg Config, tr *trace.Trace) (*Result, error) {
 // cancelled is bit-identical to Run.
 //
 // The trace may be nil when cfg.TraceFile names a .dmt container: the
-// records then stream from disk in bounded memory (see runFileContext)
-// with a bit-identical report.
+// records then stream from disk in bounded memory with a report
+// bit-identical to running the same records from memory. Either way
+// the run reads its records through one trace.Cursor, twice: a
+// validation, warm-up and calibration pass, then, rewound, the
+// simulated pass.
 func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, error) {
-	if tr == nil {
-		if cfg.TraceFile == "" {
-			return nil, fmt.Errorf("core: nil trace and no Config.TraceFile to stream from")
-		}
-		return runFileContext(ctx, cfg)
+	if tr == nil && cfg.TraceFile == "" {
+		return nil, fmt.Errorf("core: nil trace and no Config.TraceFile to stream from")
 	}
-	if cfg.TraceFile != "" {
+	if tr != nil && cfg.TraceFile != "" {
 		return nil, fmt.Errorf("core: both an in-memory trace %q and Config.TraceFile %q given; pass one",
 			tr.Name, cfg.TraceFile)
 	}
@@ -248,41 +204,41 @@ func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, erro
 	if err := validateWarmupFraction(cfg.WarmupFraction); err != nil {
 		return nil, err
 	}
-	if err := tr.Validate(); err != nil {
+	src, err := openSource(cfg.TraceFile, tr)
+	if err != nil {
 		return nil, err
 	}
-	if len(tr.Records) == 0 {
-		return nil, fmt.Errorf("core: empty trace %q", tr.Name)
+	defer src.close()
+	if src.records == 0 {
+		return nil, fmt.Errorf("core: empty trace %q", src.name)
 	}
-	maxPage := memsys.PageID(cfg.Geometry.TotalPages())
-	for i, r := range tr.Records {
-		end := r.Page
-		if r.Kind.IsDMA() {
-			end += memsys.PageID(r.Pages)
-		} else {
-			end++
-		}
-		if r.Page < 0 || end > maxPage {
-			return nil, fmt.Errorf("core: record %d touches pages [%d,%d) outside memory of %d pages",
-				i, r.Page, end, maxPage)
+
+	var lm *layout.Manager
+	if cfg.PL != nil {
+		if lm, err = layout.New(cfg.Geometry, *cfg.PL); err != nil {
+			return nil, err
 		}
 	}
+	tot, err := scan(src, cfg, lm)
+	if err != nil {
+		return nil, err
+	}
+	src.cur.Rewind()
 
 	res := &Result{}
 	ccfg := controller.Config{
-		Geometry:           cfg.Geometry,
-		Topology:           cfg.Topology,
-		Buses:              cfg.Buses,
-		Policy:             cfg.Policy,
-		TA:                 cfg.TA,
-		Mapper:             cfg.Mapper,
-		Model:              model,
-		InitialState:       0, // Active; the policy idles chips down immediately
-		FullScanAccounting: cfg.FullScanAccounting,
+		Geometry:     cfg.Geometry,
+		Topology:     cfg.Topology,
+		Buses:        cfg.Buses,
+		Policy:       cfg.Policy,
+		TA:           cfg.TA,
+		Mapper:       cfg.Mapper,
+		Model:        model,
+		InitialState: 0, // Active; the policy idles chips down immediately
+		Layout:       lm,
 	}
-
 	if cfg.TA != nil && cfg.TA.Mu == 0 && cfg.CPLimit > 0 {
-		cal := Calibrate(tr, cfg.Geometry, cfg.Buses)
+		cal := calibrate(src.meta, tot, cfg.Geometry, cfg.Buses)
 		mu, err := cal.Mu(cfg.CPLimit)
 		if err != nil {
 			return nil, err
@@ -296,42 +252,25 @@ func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, erro
 		res.Mu = cfg.TA.Mu
 	}
 
-	var lm *layout.Manager
-	if cfg.PL != nil {
-		var err error
-		lm, err = layout.New(cfg.Geometry, *cfg.PL)
-		if err != nil {
-			return nil, err
-		}
-		warmup(lm, tr, cfg.WarmupFraction)
-		ccfg.Layout = lm
-	}
-
 	eng := sim.New()
-	if cfg.HeapScheduler {
-		eng = sim.NewWithHeap()
-	}
 	ctl, err := controller.New(eng, ccfg)
 	if err != nil {
 		return nil, err
 	}
-
-	if cfg.PerEventFeeder {
-		feed(eng, ctl, tr)
-	} else {
-		eng.SetFeeder(&traceFeeder{ctl: ctl, records: tr.Records})
-	}
-	traceEnd := sim.Time(tr.Duration())
+	eng.SetFeeder(&feeder{ctl: ctl, cur: src.cur})
 	if lm != nil {
-		scheduleRebalances(eng, ctl, lm, traceEnd)
+		scheduleRebalances(eng, ctl, lm, tot.last)
 	}
 	if err := eng.RunContext(ctx); err != nil {
 		return nil, err
 	}
+	if err := src.cur.Err(); err != nil {
+		return nil, fmt.Errorf("core: streaming %s: %w", cfg.TraceFile, err)
+	}
 
 	window := cfg.MeterWindow
 	if window == 0 {
-		window = tr.Duration() + 2*sim.Millisecond
+		window = sim.Duration(tot.last) + 2*sim.Millisecond
 	}
 	end := ctl.Finish(sim.Time(window))
 	res.Report = ctl.Report(cfg.Scheme, end)
@@ -343,10 +282,34 @@ func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, erro
 	return res, nil
 }
 
-// validateWarmupFraction rejects fractions outside (0, 1] loudly.
-// Both trace paths apply it after defaulting (zero has already become
-// 1.0), so an out-of-range fraction can no longer panic the in-memory
-// warm-up slice or silently warm the whole file-backed trace.
+// source is a run's trace: a cursor over its records plus what the
+// run needs to know before streaming them.
+type source struct {
+	cur     *trace.Cursor
+	name    string
+	meta    trace.Meta
+	records int64
+	close   func() error
+}
+
+// openSource returns the source of a run: a cursor over the in-memory
+// records, or over the .dmt container at path when tr is nil.
+func openSource(path string, tr *trace.Trace) (*source, error) {
+	if tr != nil {
+		return &source{cur: tr.Cursor(), name: tr.Name, meta: tr.Meta,
+			records: int64(len(tr.Records)), close: func() error { return nil }}, nil
+	}
+	fr, err := trace.OpenDMTFile(path)
+	if err != nil {
+		return nil, err
+	}
+	sum := fr.Summary()
+	return &source{cur: fr.Cursor(), name: sum.Name, meta: sum.Meta,
+		records: sum.Records, close: fr.Close}, nil
+}
+
+// validateWarmupFraction rejects fractions outside (0, 1] loudly,
+// after defaulting (zero has already become 1.0).
 func validateWarmupFraction(fraction float64) error {
 	if !(fraction > 0 && fraction <= 1) {
 		return fmt.Errorf("core: WarmupFraction %g outside (0, 1]", fraction)
@@ -354,69 +317,106 @@ func validateWarmupFraction(fraction float64) error {
 	return nil
 }
 
-// warmupCount is the single truncation both trace paths use to turn
-// the warm-up fraction into a record count, so the in-memory and
-// file-backed layouts warm over exactly the same prefix.
-func warmupCount(fraction float64, records int64) int64 {
-	n := int64(fraction * float64(records))
-	if n < 0 {
-		n = 0
-	}
-	if n > records {
-		n = records
-	}
-	return n
+// totals is what the pre-run pass learns about a trace's records.
+type totals struct {
+	dmaTransfers, dmaPages int64    // CP-Limit calibration inputs
+	last                   sim.Time // the last record's time: the trace's span
 }
 
-// warmup feeds the first fraction of the trace's DMA references into
-// the layout manager and installs the resulting layout without
-// charging its cost: the measured window starts from popularity steady
-// state.
-func warmup(lm *layout.Manager, tr *trace.Trace, fraction float64) {
-	n := warmupCount(fraction, int64(len(tr.Records)))
-	for _, r := range tr.Records[:n] {
-		if !r.Kind.IsDMA() {
-			continue
+// scan is the pre-run pass over a source. It checks every record
+// (trace.CheckRecord's rules, then pages inside memory), totals the DMA
+// transfers and pages calibration uses, and feeds the DMA references
+// of the first WarmupFraction of the records to the layout manager, if
+// any. It then installs the resulting layout without charging its
+// cost, so the measured window starts from popularity steady state.
+//
+// Trace-level errors return at once; the first page-range error is
+// held until the pass ends, so a malformed record anywhere in the
+// trace wins over a range violation earlier in it.
+func scan(src *source, cfg Config, lm *layout.Manager) (totals, error) {
+	maxPage := memsys.PageID(cfg.Geometry.TotalPages())
+	var warm int64
+	if lm != nil {
+		warm = int64(cfg.WarmupFraction * float64(src.records))
+	}
+	var tot totals
+	var rangeErr error
+	for i := int64(0); ; i++ {
+		r, ok := src.cur.Next()
+		if !ok {
+			break
 		}
-		for p := 0; p < int(r.Pages); p++ {
-			lm.Observe(r.Page + memsys.PageID(p))
+		if err := trace.CheckRecord(src.name, i, tot.last, r); err != nil {
+			return tot, err
+		}
+		tot.last = r.Time
+		end := r.Page + 1
+		if r.Kind.IsDMA() {
+			end = r.Page + memsys.PageID(r.Pages)
+			tot.dmaTransfers++
+			tot.dmaPages += int64(r.Pages)
+		}
+		if rangeErr == nil && end > maxPage {
+			rangeErr = fmt.Errorf("core: record %d touches pages [%d,%d) outside memory of %d pages",
+				i, r.Page, end, maxPage)
+		}
+		if i < warm && r.Kind.IsDMA() {
+			for p := 0; p < int(r.Pages); p++ {
+				lm.Observe(r.Page + memsys.PageID(p))
+			}
 		}
 	}
-	lm.Rebalance(nil)
-	lm.ResetCosts()
+	if err := src.cur.Err(); err != nil {
+		return tot, err
+	}
+	if rangeErr != nil {
+		return tot, rangeErr
+	}
+	if lm != nil {
+		lm.Rebalance(nil)
+		lm.ResetCosts()
+	}
+	return tot, nil
 }
 
-// traceFeeder is the default arrival source: a cursor over the trace
-// records that the engine's run loop pulls batches from directly (see
-// sim.Feeder), so arrivals never pass through the scheduler at all.
-// It reports feederPrio as its same-instant priority, which is
-// reserved for trace arrivals across the whole simulator — transfer
-// completions (priority 0) at the same instant are observed first,
-// policy and epoch timers (priorities 2+) after, exactly as with the
-// per-event feeder.
-type traceFeeder struct {
-	ctl     *controller.Controller
-	records []trace.Record
-	idx     int
-	nextID  int64
+// feeder is the run's arrival source: the engine's run loop pulls
+// arrival batches straight from the trace cursor (see sim.Feeder), so
+// arrivals never pass through the scheduler and, for a .dmt container,
+// only the cursor's raw chunk and decoded window are resident. It
+// reports feederPrio as its same-instant priority, which is reserved
+// for trace arrivals across the whole simulator — transfer completions
+// (priority 0) at the same instant are observed first, policy and
+// epoch timers (priorities 2+) after.
+//
+// A corrupted container surfaces as an exhausted cursor mid-run; the
+// caller checks the cursor's Err after the engine stops (a feeder has
+// no error channel of its own).
+type feeder struct {
+	ctl    *controller.Controller
+	cur    *trace.Cursor
+	nextID int64
 }
 
-// feederPrio is the same-instant dispatch priority of trace arrivals,
-// for both feeder implementations. No other event source uses it.
+// feederPrio is the same-instant dispatch priority of trace arrivals.
+// No other event source uses it.
 const feederPrio = 1
 
-func (f *traceFeeder) Peek() (sim.Time, int8, bool) {
-	if f.idx >= len(f.records) {
+func (f *feeder) Peek() (sim.Time, int8, bool) {
+	r, ok := f.cur.Peek()
+	if !ok {
 		return 0, 0, false
 	}
-	return f.records[f.idx].Time, feederPrio, true
+	return r.Time, feederPrio, true
 }
 
-func (f *traceFeeder) Fire(e *sim.Engine) {
+func (f *feeder) Fire(e *sim.Engine) {
 	now := e.Now()
-	for f.idx < len(f.records) && f.records[f.idx].Time == now {
-		r := f.records[f.idx]
-		f.idx++
+	for {
+		r, ok := f.cur.Peek()
+		if !ok || r.Time != now {
+			return
+		}
+		f.cur.Advance()
 		if r.Kind.IsDMA() {
 			f.ctl.StartTransfer(dma.FromRecord(f.nextID, r))
 			f.nextID++
@@ -424,32 +424,6 @@ func (f *traceFeeder) Fire(e *sim.Engine) {
 			f.ctl.ProcAccess(r.Page)
 		}
 	}
-}
-
-// feed is the reference arrival path (Config.PerEventFeeder): trace
-// records enter through a self-advancing engine event per distinct
-// record timestamp. The batched traceFeeder replaces it on the hot
-// path; it is kept as the cross-check implementation.
-func feed(eng *sim.Engine, ctl *controller.Controller, tr *trace.Trace) {
-	var idx int
-	var nextID int64
-	var step func(e *sim.Engine)
-	step = func(e *sim.Engine) {
-		for idx < len(tr.Records) && tr.Records[idx].Time == e.Now() {
-			r := tr.Records[idx]
-			idx++
-			if r.Kind.IsDMA() {
-				ctl.StartTransfer(dma.FromRecord(nextID, r))
-				nextID++
-			} else {
-				ctl.ProcAccess(r.Page)
-			}
-		}
-		if idx < len(tr.Records) {
-			eng.SchedulePrio(tr.Records[idx].Time, feederPrio, step)
-		}
-	}
-	eng.SchedulePrio(tr.Records[0].Time, feederPrio, step)
 }
 
 // scheduleRebalances arms the PL interval timer up to the end of the

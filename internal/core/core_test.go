@@ -327,8 +327,8 @@ func TestProcAccessesReduceSavings(t *testing.T) {
 }
 
 func TestCalibrateFallbacks(t *testing.T) {
-	bare := &trace.Trace{Records: []trace.Record{{Time: 0, Kind: trace.DMARead, Pages: 1}}}
-	cal := Calibrate(bare, memsys.Default(), bus.DefaultConfig())
+	// A bare trace of one single-page DMA: no metadata.
+	cal := calibrate(trace.Meta{}, totals{dmaTransfers: 1, dmaPages: 1}, memsys.Default(), bus.DefaultConfig())
 	if err := cal.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -43,12 +43,6 @@ type Suite struct {
 	// Runner runs everything sequentially on the calling goroutine;
 	// results are byte-identical either way.
 	Runner *Runner
-	// HeapScheduler and PerEventFeeder propagate the engine knobs of
-	// the same names (core.Config) to every simulation the suite runs.
-	// Results are bit-identical regardless — the cross-check test holds
-	// all four combinations to that.
-	HeapScheduler  bool
-	PerEventFeeder bool
 
 	mu        sync.Mutex
 	cache     map[string]*cacheEntry
@@ -147,21 +141,10 @@ func (s *Suite) generate(name string) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// run executes one simulation with the suite's engine knobs applied
-// and the job's context observed mid-run (a cancelled figure aborts
-// its in-flight simulations instead of finishing them).
-func (s *Suite) run(ctx context.Context, cfg core.Config, tr *trace.Trace) (*core.Result, error) {
-	cfg.HeapScheduler = s.HeapScheduler
-	cfg.PerEventFeeder = s.PerEventFeeder
-	return core.RunContext(ctx, cfg, tr)
-}
-
-// runPair is core.RunPair with the suite's engine knobs and
-// cancellation. It also reports the combined simulation event count of
-// the pair, so sweep jobs feed events/sec observability.
-func (s *Suite) runPair(ctx context.Context, base, tech core.Config, tr *trace.Trace) (savings float64, events uint64, err error) {
-	base.HeapScheduler, tech.HeapScheduler = s.HeapScheduler, s.HeapScheduler
-	base.PerEventFeeder, tech.PerEventFeeder = s.PerEventFeeder, s.PerEventFeeder
+// runPair is core.RunPair reporting the savings and the combined
+// simulation event count of the pair, so sweep jobs feed events/sec
+// observability.
+func runPair(ctx context.Context, base, tech core.Config, tr *trace.Trace) (savings float64, events uint64, err error) {
 	b, t, savings, err := core.RunPair(ctx, base, tech, tr)
 	if err != nil {
 		return 0, 0, err
@@ -327,7 +310,7 @@ func (s *Suite) Fig2b(ctx context.Context) ([]BreakdownRow, error) {
 			if err != nil {
 				return BreakdownRow{}, err
 			}
-			res, err := s.run(ctx, core.Config{}, tr)
+			res, err := core.RunContext(ctx, core.Config{}, tr)
 			if err != nil {
 				return BreakdownRow{}, err
 			}
@@ -428,7 +411,7 @@ func (s *Suite) Fig6(ctx context.Context) ([]BreakdownRow, error) {
 		func(ctx context.Context, i int) (BreakdownRow, error) {
 			cfg := schemes[i].cfg
 			cfg.MeterWindow = window
-			res, err := s.run(ctx, cfg, tr)
+			res, err := core.RunContext(ctx, cfg, tr)
 			if err != nil {
 				return BreakdownRow{}, err
 			}
@@ -469,7 +452,7 @@ func (s *Suite) Fig7(ctx context.Context, cpLimits []float64) ([]Fig7Point, erro
 	return mapJobs(ctx, s.Runner, len(specs),
 		func(i int) string { return fmt.Sprintf("fig7/%s/cp=%.2f", specs[i].label, specs[i].cpLimit) },
 		func(ctx context.Context, i int) (Fig7Point, error) {
-			res, err := s.run(ctx, specs[i].cfg, tr)
+			res, err := core.RunContext(ctx, specs[i].cfg, tr)
 			if err != nil {
 				return Fig7Point{}, err
 			}

@@ -31,8 +31,8 @@ import (
 // FMA contraction on other architectures could legally differ).
 var updateGolden = flag.Bool("update", false, "rewrite the golden report corpus from the current simulator")
 
-// goldenSuite mirrors the cross-check suites: 4 ms traces (2 ms for
-// the denser database workloads), seed 1.
+// goldenSuite is the golden corpus's suite: 4 ms traces (2 ms for the
+// denser database workloads), seed 1.
 func goldenSuite() *Suite {
 	s := NewSuite(4*sim.Millisecond, 1)
 	s.DbDuration = 2 * sim.Millisecond

@@ -25,20 +25,14 @@ type SuiteSpec struct {
 	DbDuration sim.Duration
 	// Seed for all generators.
 	Seed uint64
-	// HeapScheduler and PerEventFeeder mirror the Suite fields of the
-	// same names (engine knobs; results are bit-identical regardless).
-	HeapScheduler  bool
-	PerEventFeeder bool
 }
 
 // Spec returns the serializable configuration of the suite.
 func (s *Suite) Spec() SuiteSpec {
 	return SuiteSpec{
-		Duration:       s.Duration,
-		DbDuration:     s.DbDuration,
-		Seed:           s.Seed,
-		HeapScheduler:  s.HeapScheduler,
-		PerEventFeeder: s.PerEventFeeder,
+		Duration:   s.Duration,
+		DbDuration: s.DbDuration,
+		Seed:       s.Seed,
 	}
 }
 
@@ -47,8 +41,6 @@ func (s *Suite) Spec() SuiteSpec {
 func NewSuiteFromSpec(sp SuiteSpec) *Suite {
 	s := NewSuite(sp.Duration, sp.Seed)
 	s.DbDuration = sp.DbDuration
-	s.HeapScheduler = sp.HeapScheduler
-	s.PerEventFeeder = sp.PerEventFeeder
 	return s
 }
 
@@ -239,7 +231,7 @@ func (s *Suite) baseline(ctx context.Context, name string) (*core.Result, error)
 			return
 		}
 		start := time.Now()
-		e.res, e.err = s.run(ctx, core.Config{MeterWindow: tr.Duration() + 2*sim.Millisecond}, tr)
+		e.res, e.err = core.RunContext(ctx, core.Config{MeterWindow: tr.Duration() + 2*sim.Millisecond}, tr)
 		if e.err == nil && s.Runner != nil && s.Runner.Timings != nil {
 			s.Runner.Timings.AddSim("baseline/"+name, time.Since(start), e.res.SimEvents())
 		}
@@ -288,7 +280,7 @@ func (s *Suite) fig5Grid(gs GridSpec) *resolvedGrid {
 				cfg = taConfig(sp.cpLimit, plConfig(sp.groups))
 			}
 			cfg.MeterWindow = tr.Duration() + 2*sim.Millisecond
-			res, err := s.run(ctx, cfg, tr)
+			res, err := core.RunContext(ctx, cfg, tr)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -331,7 +323,7 @@ func (s *Suite) fig8Grid(gs GridSpec) *resolvedGrid {
 			if err != nil {
 				return nil, 0, err
 			}
-			savings, events, err := s.runPair(ctx, core.Config{}, sweepSchemeConfig(sweepSchemes[sp.scheme]), tr)
+			savings, events, err := runPair(ctx, core.Config{}, sweepSchemeConfig(sweepSchemes[sp.scheme]), tr)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -370,7 +362,7 @@ func (s *Suite) fig9Grid(gs GridSpec) *resolvedGrid {
 			if err != nil {
 				return nil, 0, err
 			}
-			savings, events, err := s.runPair(ctx, core.Config{}, sweepSchemeConfig(sweepSchemes[sp.scheme]), tr)
+			savings, events, err := runPair(ctx, core.Config{}, sweepSchemeConfig(sweepSchemes[sp.scheme]), tr)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -458,7 +450,7 @@ func (s *Suite) fig10Grid(gs GridSpec) *resolvedGrid {
 				base.Topology = topo
 				tech.Topology = topo
 			}
-			savings, events, err := s.runPair(ctx, base, tech, tr)
+			savings, events, err := runPair(ctx, base, tech, tr)
 			if err != nil {
 				return nil, 0, err
 			}

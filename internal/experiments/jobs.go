@@ -66,8 +66,8 @@ func WorkloadNames() []string { return append([]string(nil), workloadNames...) }
 // built from an empty job submission reproduces the committed goldens
 // byte for byte.
 type ReportSpec struct {
-	// Suite reconstructs the trace configuration (duration, seed,
-	// engine knobs). The golden corpus uses 4 ms traces (2 ms for the
+	// Suite reconstructs the trace configuration (duration, seed).
+	// The golden corpus uses 4 ms traces (2 ms for the
 	// database workloads) at seed 1.
 	Suite SuiteSpec
 	// Workload is the Table 2 trace name ("OLTP-St", ...). Required.

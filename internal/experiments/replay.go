@@ -10,7 +10,7 @@ import (
 )
 
 // ReplayFile streams a recorded .dmt container (docs/TRACE_FORMAT.md)
-// through the file-backed feeder — baseline and technique side by
+// from disk — baseline and technique side by
 // side, through core.RunPair — and renders the comparison. The trace
 // is never materialized: each run holds one raw chunk and a small
 // decoded window of it, so an hour-scale recording replays in the

@@ -4,16 +4,17 @@ import (
 	"reflect"
 	"testing"
 
+	"dmamem/internal/core"
 	"dmamem/internal/energy"
 	"dmamem/internal/sim"
 )
 
-// TestRegistryRDRAMBitIdentical proves the registry "rdram" backend is
-// bit-identical to the legacy energy.Spec path over the full golden
+// TestRegistryRDRAMBitIdentical proves the names of the registry's
+// "rdram" backend resolve to the paper defaults over the full golden
 // corpus — every Table 2 workload and scheme. Three configurations per
-// point must produce reflect.DeepEqual reports: the explicit legacy
-// spec (core.Config.MemSpec), the registry name (core.Config.Tech =
-// "rdram"), and the zero value (paper defaults).
+// point must produce reflect.DeepEqual reports: the canonical name
+// (core.Config.Tech = "rdram"), its alias "rdram-1600", and the zero
+// value (paper defaults).
 func TestRegistryRDRAMBitIdentical(t *testing.T) {
 	s := goldenSuite()
 	for _, name := range workloadNames {
@@ -25,34 +26,23 @@ func TestRegistryRDRAMBitIdentical(t *testing.T) {
 		for _, sc := range goldenSchemes() {
 			sc := sc
 			t.Run(name+"/"+sc.label, func(t *testing.T) {
-				legacy := sc.cfg
-				legacy.MemSpec = energy.RDRAM1600()
-				legacy.MeterWindow = window
-				reg := sc.cfg
-				reg.Tech = "rdram"
-				reg.MeterWindow = window
 				def := sc.cfg
 				def.MeterWindow = window
-
-				lr, err := s.run(ctx, legacy, tr)
-				if err != nil {
-					t.Fatalf("legacy spec run: %v", err)
-				}
-				rr, err := s.run(ctx, reg, tr)
-				if err != nil {
-					t.Fatalf("registry run: %v", err)
-				}
-				dr, err := s.run(ctx, def, tr)
+				dr, err := core.RunContext(ctx, def, tr)
 				if err != nil {
 					t.Fatalf("default run: %v", err)
 				}
-				if !reflect.DeepEqual(lr.Report, rr.Report) {
-					t.Errorf("registry rdram drifted from the legacy spec path:\n%s",
-						diffFields("", reflect.ValueOf(rr.Report), reflect.ValueOf(lr.Report)))
-				}
-				if !reflect.DeepEqual(dr.Report, rr.Report) {
-					t.Errorf("zero-value default drifted from Tech=rdram:\n%s",
-						diffFields("", reflect.ValueOf(rr.Report), reflect.ValueOf(dr.Report)))
+				for _, tech := range []string{"rdram", "rdram-1600"} {
+					cfg := def
+					cfg.Tech = tech
+					r, err := core.RunContext(ctx, cfg, tr)
+					if err != nil {
+						t.Fatalf("Tech=%s run: %v", tech, err)
+					}
+					if !reflect.DeepEqual(dr.Report, r.Report) {
+						t.Errorf("Tech=%s drifted from the zero-value default:\n%s",
+							tech, diffFields("", reflect.ValueOf(r.Report), reflect.ValueOf(dr.Report)))
+					}
 				}
 			})
 		}

@@ -92,16 +92,7 @@ type Chip struct {
 // NewChip returns a chip resident in the given state at time now,
 // using the default RDRAM power model.
 func NewChip(id int, start energy.State, now sim.Time) *Chip {
-	return NewChipWithSpec(id, start, now, energy.RDRAM1600())
-}
-
-// NewChipWithSpec returns a chip using a legacy 4-state technology
-// spec, converted to its Model form.
-func NewChipWithSpec(id int, start energy.State, now sim.Time, spec *energy.Spec) *Chip {
-	if spec == nil {
-		spec = energy.RDRAM1600()
-	}
-	return NewChipWithModel(id, start, now, spec.Model())
+	return NewChipWithModel(id, start, now, nil)
 }
 
 // NewChipWithModel returns a chip driven by an explicit technology

@@ -19,7 +19,7 @@ func TestGenerateDSSShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Trace
-	if err := tr.Validate(); err != nil {
+	if err := checkRecords(tr); err != nil {
 		t.Fatal(err)
 	}
 	st := trace.Analyze(tr)

@@ -12,6 +12,18 @@ import (
 	"dmamem/internal/trace"
 )
 
+// checkRecords applies trace.CheckRecord to every record of tr.
+func checkRecords(tr *trace.Trace) error {
+	var prev sim.Time
+	for i, r := range tr.Records {
+		if err := trace.CheckRecord(tr.Name, int64(i), prev, r); err != nil {
+			return err
+		}
+		prev = r.Time
+	}
+	return nil
+}
+
 func TestCacheBasics(t *testing.T) {
 	c, err := NewBufferCache(16)
 	if err != nil {
@@ -161,7 +173,7 @@ func TestGenerateStorageShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Trace
-	if err := tr.Validate(); err != nil {
+	if err := checkRecords(tr); err != nil {
 		t.Fatal(err)
 	}
 	s := trace.Analyze(tr)
@@ -308,7 +320,7 @@ func TestGenerateDatabaseShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Trace
-	if err := tr.Validate(); err != nil {
+	if err := checkRecords(tr); err != nil {
 		t.Fatal(err)
 	}
 	s := trace.Analyze(tr)

@@ -5,8 +5,8 @@ import "container/heap"
 // heapScheduler is the reference pending-event store: a binary heap
 // ordered by (at, prio, seq) with O(log n) schedule, cancel and fire.
 // The timer wheel (wheel.go) replaces it on the hot path; the heap is
-// kept behind NewWithHeap as the obviously correct implementation the
-// wheel is cross-checked against.
+// kept behind newWithHeap as the obviously correct implementation the
+// kernel tests cross-check the wheel against.
 type heapScheduler struct{ q eventQueue }
 
 func (h *heapScheduler) schedule(ev *event) { heap.Push(&h.q, ev) }

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -10,7 +13,7 @@ import (
 // tests must pass identically on the wheel and the reference heap.
 func engines(t *testing.T, f func(t *testing.T, newEngine func() *Engine)) {
 	t.Run("wheel", func(t *testing.T) { f(t, New) })
-	t.Run("heap", func(t *testing.T) { f(t, NewWithHeap) })
+	t.Run("heap", func(t *testing.T) { f(t, newWithHeap) })
 }
 
 // TestSchedulerEquivalence is the kernel-level cross-check: a random
@@ -57,7 +60,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 		// Identical seeds drive identical rng decisions on both engines,
 		// so the label sequences must match element for element.
 		wheel := run(New, seed)
-		heap := run(NewWithHeap, seed)
+		heap := run(newWithHeap, seed)
 		if len(wheel) != len(heap) {
 			t.Fatalf("seed %d: wheel fired %d events, heap %d", seed, len(wheel), len(heap))
 		}
@@ -315,7 +318,7 @@ func TestRunContextCancel(t *testing.T) {
 // TestHeapZeroAllocSteadyState mirrors the wheel's zero-alloc guard on
 // the reference heap engine.
 func TestHeapZeroAllocSteadyState(t *testing.T) {
-	e := NewWithHeap()
+	e := newWithHeap()
 	noop := Handler(func(*Engine) {})
 	for i := 0; i < 64; i++ {
 		e.After(Duration(i+1), noop)
@@ -335,7 +338,35 @@ func TestHeapZeroAllocSteadyState(t *testing.T) {
 // BenchmarkScheduleRunWheel and ...Heap compare the kernel-only cost of
 // a self-rescheduling timer cascade on both backends.
 func BenchmarkScheduleRunWheel(b *testing.B) { benchScheduleRun(b, New) }
-func BenchmarkScheduleRunHeap(b *testing.B)  { benchScheduleRun(b, NewWithHeap) }
+func BenchmarkScheduleRunHeap(b *testing.B)  { benchScheduleRun(b, newWithHeap) }
+
+// TestWheelThroughputSmoke is the CI bench smoke gate: it times
+// benchScheduleRun on the wheel and on the reference heap and fails if
+// the wheel's throughput falls below 0.90 of the heap's. Each backend
+// keeps its best of a few alternating measurements, which damps
+// timesharing noise. Benchmarking inside the normal test run would be
+// noise-prone, so the check only arms when DMAMEM_BENCH_SMOKE=1.
+func TestWheelThroughputSmoke(t *testing.T) {
+	if os.Getenv("DMAMEM_BENCH_SMOKE") == "" {
+		t.Skip("set DMAMEM_BENCH_SMOKE=1 to run the scheduler throughput gate")
+	}
+	nsPerOp := func(newEngine func() *Engine) float64 {
+		r := testing.Benchmark(func(b *testing.B) { benchScheduleRun(b, newEngine) })
+		return float64(r.T.Nanoseconds()) / float64(r.N)
+	}
+	wheel, heap := math.Inf(1), math.Inf(1)
+	for i := 0; i < 3; i++ {
+		wheel = min(wheel, nsPerOp(New))
+		heap = min(heap, nsPerOp(newWithHeap))
+	}
+	ratio := heap / wheel // wheel throughput relative to the heap's
+	t.Logf("wheel %.0f ns/op, heap %.0f ns/op, throughput ratio %.3f", wheel, heap, ratio)
+	fmt.Printf("bench-smoke: wheel=%.0f heap=%.0f ns/op (throughput ratio %.3f)\n", wheel, heap, ratio)
+	if ratio < 0.90 {
+		t.Fatalf("wheel scheduler regresses throughput: %.0f vs %.0f ns/op (ratio %.3f < 0.90)",
+			wheel, heap, ratio)
+	}
+}
 
 func benchScheduleRun(b *testing.B, newEngine func() *Engine) {
 	b.ReportAllocs()

@@ -14,11 +14,10 @@
 //
 // The pending-event store behind an Engine is pluggable. New returns an
 // engine backed by a hierarchical timer wheel (see wheel.go) whose
-// schedule, cancel and fire operations are amortized O(1); NewWithHeap
-// returns the reference binary-heap engine with O(log n) operations.
-// Both dispatch in exactly the same (time, priority, scheduling-order)
-// sequence, so a simulation produces bit-identical results on either —
-// the cross-check test in internal/experiments holds them to that.
+// schedule, cancel and fire operations are amortized O(1). The
+// package's tests keep a reference binary-heap engine (newWithHeap,
+// O(log n) operations) and hold the wheel to dispatching in exactly
+// the same (time, priority, scheduling-order) sequence.
 //
 // # Feeders
 //
@@ -165,7 +164,7 @@ type Feeder interface {
 }
 
 // Engine is a single-threaded discrete-event simulation loop.
-// The zero value is not usable; call New or NewWithHeap.
+// The zero value is not usable; call New.
 //
 // An Engine is owned by exactly one goroutine: none of its methods are
 // safe for concurrent use. Run simulations in parallel by giving each
@@ -185,11 +184,11 @@ type Engine struct {
 // hierarchical timer wheel (amortized O(1) schedule/cancel/fire).
 func New() *Engine { return &Engine{sched: newWheel()} }
 
-// NewWithHeap returns an engine backed by the reference binary-heap
+// newWithHeap returns an engine backed by the reference binary-heap
 // scheduler. It dispatches in exactly the same order as New's wheel;
-// it is retained for cross-checking (core.Config.HeapScheduler) and
-// as the simplest-possible reference implementation.
-func NewWithHeap() *Engine { return &Engine{sched: &heapScheduler{}} }
+// it is retained as the simplest-possible reference implementation the
+// kernel tests check the wheel against.
+func newWithHeap() *Engine { return &Engine{sched: &heapScheduler{}} }
 
 // Now returns the current simulation instant.
 func (e *Engine) Now() Time { return e.now }

@@ -9,6 +9,18 @@ import (
 	"dmamem/internal/trace"
 )
 
+// checkRecords applies trace.CheckRecord to every record of tr.
+func checkRecords(tr *trace.Trace) error {
+	var prev sim.Time
+	for i, r := range tr.Records {
+		if err := trace.CheckRecord(tr.Name, int64(i), prev, r); err != nil {
+			return err
+		}
+		prev = r.Time
+	}
+	return nil
+}
+
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
@@ -198,7 +210,7 @@ func TestGenerateStProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := checkRecords(tr); err != nil {
 		t.Fatal(err)
 	}
 	s := trace.Analyze(tr)
@@ -283,7 +295,7 @@ func TestGenerateDb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := checkRecords(tr); err != nil {
 		t.Fatal(err)
 	}
 	s := trace.Analyze(tr)

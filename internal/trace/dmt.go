@@ -109,23 +109,12 @@ type FileSummary struct {
 	// covers, matching Trace.Duration).
 	Duration sim.Duration
 	// DMATransfers and DMAPages total the DMA records and the pages
-	// they move; their ratio is the mean transfer size the CP-Limit
-	// calibration needs, so calibrating against a file never scans it.
+	// they move. A Cursor checks both against the records it streams.
 	DMATransfers int64
 	DMAPages     int64
 	// Meta is the workload-level context (client response time,
 	// transfers per request), as on an in-memory Trace.
 	Meta Meta
-}
-
-// MeanTransferPages returns the average DMA transfer size in pages,
-// computed exactly as Stats.MeanTransferPages does so file-backed
-// CP-Limit calibration is bit-identical to the in-memory path.
-func (s FileSummary) MeanTransferPages() float64 {
-	if s.DMATransfers == 0 {
-		return 0
-	}
-	return float64(s.DMAPages) / float64(s.DMATransfers)
 }
 
 // WriterOptions parameterizes a .dmt Writer.
@@ -232,7 +221,7 @@ func (w *Writer) Append(r Record) error {
 		return fmt.Errorf("trace: record at %v before predecessor at %v; .dmt traces are appended in time order",
 			r.Time, w.prevTime)
 	}
-	if r.Kind >= numKinds {
+	if !r.Kind.Valid() {
 		return fmt.Errorf("trace: record has invalid kind %d", r.Kind)
 	}
 	if r.Source >= numSources {
@@ -470,19 +459,29 @@ func (r *Reader) Cursor() *Cursor {
 	}
 }
 
+// Cursor returns a cursor over the trace's records, positioned before
+// the first. Its window is the record slice itself: nothing is copied
+// or decoded, and the cursor never fails. The records must not change
+// while the cursor is in use.
+func (t *Trace) Cursor() *Cursor {
+	return &Cursor{win: t.Records, done: true}
+}
+
 // cursorWindow is the number of records a Cursor decodes at a time
 // from the current chunk's validated payload.
 const cursorWindow = 2048
 
-// Cursor streams the records of a .dmt container in order. Its
-// buffers are one raw chunk block and a window of at most
-// cursorWindow decoded records, both reused across chunks, so memory
-// stays flat no matter how long the trace is. Each chunk is validated
-// in full when it is read — any malformed byte fails there — and its
-// records are then decoded a window at a time as the cursor advances.
-// The checksum is accumulated as chunks stream by and verified against
-// the footer when the end marker is reached; any malformed byte turns
-// into Err.
+// Cursor streams the records of a trace in order, either an in-memory
+// Trace (see Trace.Cursor) or a .dmt container (see Reader.Cursor).
+//
+// Over a container, its buffers are one raw chunk block and a window
+// of at most cursorWindow decoded records, both reused across chunks,
+// so memory stays flat no matter how long the trace is. Each chunk is
+// validated in full when it is read — any malformed byte fails there —
+// and its records are then decoded a window at a time as the cursor
+// advances. The checksum and the DMA totals are accumulated as chunks
+// stream by and verified against the footer when the end marker is
+// reached; any malformed byte or disagreeing total turns into Err.
 type Cursor struct {
 	r   *Reader
 	sec *io.SectionReader
@@ -505,12 +504,14 @@ type Cursor struct {
 	// cursor so reading through the io.ReadFull interface cannot make
 	// it escape per chunk)
 
-	prevTime   sim.Time // time of the last record of the last loaded chunk
-	records    int64
-	chunks     int64
-	skippedHdr bool
-	done       bool
-	err        error
+	prevTime     sim.Time // time of the last record of the last loaded chunk
+	records      int64
+	chunks       int64
+	dmaTransfers int64
+	dmaPages     int64
+	skippedHdr   bool
+	done         bool
+	err          error
 }
 
 // Err returns the first error the cursor hit: nil while healthy and
@@ -549,16 +550,20 @@ func (c *Cursor) Next() (Record, bool) {
 }
 
 // Rewind positions the cursor before the first record again, clearing
-// its error, so the container can be streamed a second time. The
-// cursor keeps its buffers: a second pass over a container the cursor
-// has already streamed allocates nothing.
+// its error, so the trace can be streamed a second time. The cursor
+// keeps its buffers: a second pass over a trace the cursor has already
+// streamed allocates nothing.
 func (c *Cursor) Rewind() {
+	if c.r == nil { // over an in-memory Trace: the window is the trace
+		c.idx = 0
+		return
+	}
 	c.sec.Seek(0, io.SeekStart) // cannot fail: offset 0 from the start
 	c.br.Reset(c.sec)
 	c.crc = 0
 	c.win, c.idx = c.win[:0], 0
 	c.count, c.next = 0, 0
-	c.prevTime, c.records, c.chunks = 0, 0, 0
+	c.prevTime, c.records, c.chunks, c.dmaTransfers, c.dmaPages = 0, 0, 0, 0, 0
 	c.skippedHdr, c.done, c.err = false, false, nil
 }
 
@@ -617,7 +622,7 @@ func (c *Cursor) decode(dst []Record) {
 // window. Check Err afterwards, as after Peek.
 func (c *Cursor) appendRest(dst []Record) []Record {
 	dst = append(dst, c.win[c.idx:]...)
-	c.win, c.idx = c.win[:0], 0
+	c.idx = len(c.win)
 	for {
 		if c.next == c.count {
 			if c.done || c.err != nil {
@@ -749,9 +754,14 @@ func (c *Cursor) load() error {
 		return dmtErrf("chunk %d: %d column bytes after the time column, want %d", c.chunks, len(raw)-o, need)
 	}
 	cols := o
+	pages := raw[cols+3*count:]
 	for i, k := range raw[o : o+count] {
-		if Kind(k) >= numKinds {
+		if !Kind(k).Valid() {
 			return dmtErrf("chunk %d: record %d: invalid kind %d", c.chunks, i, Kind(k))
+		}
+		if Kind(k).IsDMA() {
+			c.dmaTransfers++
+			c.dmaPages += int64(binary.LittleEndian.Uint16(pages[2*i:]))
 		}
 	}
 	o += count
@@ -791,6 +801,10 @@ func (c *Cursor) finish() error {
 	}
 	if c.records > 0 && c.prevTime != sim.Time(sum.Duration) {
 		return dmtErrf("last record at %d, footer says %d", int64(c.prevTime), int64(sum.Duration))
+	}
+	if c.dmaTransfers != sum.DMATransfers || c.dmaPages != sum.DMAPages {
+		return dmtErrf("stream holds %d DMA transfers of %d pages, footer says %d of %d",
+			c.dmaTransfers, c.dmaPages, sum.DMATransfers, sum.DMAPages)
 	}
 	if c.crc != c.r.crcWant {
 		return dmtErrf("checksum mismatch: body %08x, footer %08x", c.crc, c.r.crcWant)

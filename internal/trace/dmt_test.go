@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -111,9 +112,6 @@ func TestDMTSummary(t *testing.T) {
 		t.Fatalf("footer DMA totals (%d, %d) disagree with Analyze (%d, %d)",
 			sum.DMATransfers, sum.DMAPages, st.DMATransfers, st.DMAPages)
 	}
-	if sum.MeanTransferPages() != st.MeanTransferPages() {
-		t.Fatalf("mean transfer pages %v != %v", sum.MeanTransferPages(), st.MeanTransferPages())
-	}
 	if sum.Meta != tr.Meta {
 		t.Fatalf("meta %+v != %+v", sum.Meta, tr.Meta)
 	}
@@ -218,6 +216,15 @@ func TestDMTRejectsMalformed(t *testing.T) {
 		b := bytes.Clone(data)
 		b[len(b)-64]++ // records u64 low byte
 		mustFail(t, b, "footer count lie")
+	})
+	t.Run("footer-dma-totals-lie", func(t *testing.T) {
+		// The checksum stops short of the footer, so only the cursor's
+		// own tally catches footer DMA totals that misstate the records.
+		for _, off := range []int{24, 32} { // dmaTransfers, dmaPages low bytes
+			b := bytes.Clone(data)
+			b[len(b)-64+off]--
+			mustFail(t, b, fmt.Sprintf("footer DMA total at footer offset %d", off))
+		}
 	})
 	t.Run("trailing-garbage", func(t *testing.T) {
 		// Extra bytes between the end marker and footer break the
@@ -339,36 +346,42 @@ func TestDMTCursorFlatMemory(t *testing.T) {
 // far from it: the cursor must yield exactly the records, a rewound
 // second pass must yield them again, the decoded buffer must never
 // outgrow the window, and the whole-chunk DecodeDMT path must agree.
+// The slice-backed cursor of the in-memory trace must yield the same
+// two passes.
 func TestCursorWindowMatchesFullDecode(t *testing.T) {
 	const w = cursorWindow
 	tr := testTrace(4*(3*w+7) + 5)
+	passes := func(label string, cur *Cursor, maxWin int) {
+		t.Helper()
+		for pass := 1; pass <= 2; pass++ {
+			n := 0
+			for {
+				rec, ok := cur.Next()
+				if c := cap(cur.win); c > maxWin {
+					t.Fatalf("%s pass %d: decoded buffer capacity %d exceeds the window %d", label, pass, c, maxWin)
+				}
+				if !ok {
+					break
+				}
+				if n >= len(tr.Records) || rec != tr.Records[n] {
+					t.Fatalf("%s pass %d: record %d = %+v, want %+v", label, pass, n, rec, tr.Records[min(n, len(tr.Records)-1)])
+				}
+				n++
+			}
+			if err := cur.Err(); err != nil || n != len(tr.Records) {
+				t.Fatalf("%s pass %d: %d of %d records, err %v", label, pass, n, len(tr.Records), err)
+			}
+			cur.Rewind()
+		}
+	}
+	passes("slice", tr.Cursor(), cap(tr.Records))
 	for _, chunk := range []int{1, w - 1, w, w + 1, 3*w + 7, 1 << 16} {
 		data := encodeDMT(t, tr, WriterOptions{ChunkRecords: chunk})
 		r, err := NewReader(newByteReaderAt(data), int64(len(data)))
 		if err != nil {
 			t.Fatalf("chunk %d: NewReader: %v", chunk, err)
 		}
-		cur := r.Cursor()
-		for pass := 1; pass <= 2; pass++ {
-			n := 0
-			for {
-				rec, ok := cur.Next()
-				if c := cap(cur.win); c > w {
-					t.Fatalf("chunk %d pass %d: decoded buffer capacity %d exceeds the window %d", chunk, pass, c, w)
-				}
-				if !ok {
-					break
-				}
-				if n >= len(tr.Records) || rec != tr.Records[n] {
-					t.Fatalf("chunk %d pass %d: record %d = %+v, want %+v", chunk, pass, n, rec, tr.Records[min(n, len(tr.Records)-1)])
-				}
-				n++
-			}
-			if err := cur.Err(); err != nil || n != len(tr.Records) {
-				t.Fatalf("chunk %d pass %d: %d of %d records, err %v", chunk, pass, n, len(tr.Records), err)
-			}
-			cur.Rewind()
-		}
+		passes(fmt.Sprintf("chunk %d", chunk), r.Cursor(), w)
 		dec, err := DecodeDMT(data)
 		if err != nil {
 			t.Fatalf("chunk %d: DecodeDMT: %v", chunk, err)
@@ -380,9 +393,10 @@ func TestCursorWindowMatchesFullDecode(t *testing.T) {
 }
 
 // TestCursorRewindZeroAlloc is the rewind allocation guard: once a
-// cursor has streamed a container, rewinding it and streaming it again
-// allocates nothing, so the file-backed run's simulated pass reuses
-// its validation pass's buffers.
+// cursor has streamed a trace, rewinding it and streaming it again
+// allocates nothing, so a run's simulated pass reuses its validation
+// pass's buffers. It covers a .dmt file cursor and the slice-backed
+// cursor of an in-memory trace.
 func TestCursorRewindZeroAlloc(t *testing.T) {
 	tr := testTrace(5000)
 	path := filepath.Join(t.TempDir(), "rewind.dmt")
@@ -394,55 +408,64 @@ func TestCursorRewindZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fr.Close()
-	cur := fr.Cursor()
-	scan := func() {
-		n := 0
-		for {
-			if _, ok := cur.Next(); !ok {
-				break
+	for label, cur := range map[string]*Cursor{"file": fr.Cursor(), "slice": tr.Cursor()} {
+		scan := func() {
+			n := 0
+			for {
+				if _, ok := cur.Next(); !ok {
+					break
+				}
+				n++
 			}
-			n++
+			if cur.Err() != nil || n != len(tr.Records) {
+				t.Fatalf("%s scan: %d of %d records, err %v", label, n, len(tr.Records), cur.Err())
+			}
 		}
-		if cur.Err() != nil || n != len(tr.Records) {
-			t.Fatalf("scan: %d of %d records, err %v", n, len(tr.Records), cur.Err())
+		scan()
+		if allocs := testing.AllocsPerRun(5, func() { cur.Rewind(); scan() }); allocs != 0 {
+			t.Fatalf("%s: a rewound pass allocated %.1f times, want 0", label, allocs)
 		}
-	}
-	scan()
-	if allocs := testing.AllocsPerRun(5, func() { cur.Rewind(); scan() }); allocs != 0 {
-		t.Fatalf("a rewound pass allocated %.1f times, want 0", allocs)
 	}
 }
 
 // TestCursorRewindAfterError: Rewind clears a failed cursor's error,
-// and the malformed byte fails the second pass at the same record.
+// and the malformed byte fails the second pass at the same record. The
+// slice-backed cursor of the same records never fails, and its passes
+// agree too.
 func TestCursorRewindAfterError(t *testing.T) {
-	data := encodeDMT(t, testTrace(100), WriterOptions{ChunkRecords: 16})
+	tr := testTrace(100)
+	data := encodeDMT(t, tr, WriterOptions{ChunkRecords: 16})
 	data[len(data)-8] ^= 1 // footer checksum
 	r, err := NewReader(newByteReaderAt(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := r.Cursor()
-	var errs [2]string
-	var counts [2]int
-	for pass := range errs {
-		for {
-			if _, ok := cur.Next(); !ok {
-				break
+	for _, tc := range []struct {
+		label   string
+		cur     *Cursor
+		wantErr bool
+	}{{"file", r.Cursor(), true}, {"slice", tr.Cursor(), false}} {
+		cur := tc.cur
+		var errs [2]error
+		var counts [2]int
+		for pass := range errs {
+			for {
+				if _, ok := cur.Next(); !ok {
+					break
+				}
+				counts[pass]++
 			}
-			counts[pass]++
+			if errs[pass] = cur.Err(); (errs[pass] != nil) != tc.wantErr {
+				t.Fatalf("%s pass %d: error %v, want an error: %v", tc.label, pass, errs[pass], tc.wantErr)
+			}
+			cur.Rewind()
+			if cur.Err() != nil {
+				t.Fatalf("%s: Rewind kept the error %v", tc.label, cur.Err())
+			}
 		}
-		if cur.Err() == nil {
-			t.Fatalf("pass %d: corrupted checksum accepted", pass)
+		if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) || counts[0] != counts[1] || counts[0] != 100 {
+			t.Fatalf("%s passes differ: %d records %v vs %d records %v", tc.label, counts[0], errs[0], counts[1], errs[1])
 		}
-		errs[pass] = cur.Err().Error()
-		cur.Rewind()
-		if cur.Err() != nil {
-			t.Fatalf("Rewind kept the error %v", cur.Err())
-		}
-	}
-	if errs[0] != errs[1] || counts[0] != counts[1] || counts[0] != 100 {
-		t.Fatalf("passes differ: %d records %q vs %d records %q", counts[0], errs[0], counts[1], errs[1])
 	}
 }
 

@@ -44,6 +44,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
+// Valid reports whether k is one of the defined kinds.
+func (k Kind) Valid() bool { return k < numKinds }
+
 // IsDMA reports whether the record is a DMA transfer.
 func (k Kind) IsDMA() bool { return k == DMARead || k == DMAWrite }
 
@@ -108,24 +111,22 @@ type Trace struct {
 	Records []Record
 }
 
-// Validate checks time ordering and structural sanity.
-func (t *Trace) Validate() error {
-	var last sim.Time
-	for i, r := range t.Records {
-		if r.Time < last {
-			return fmt.Errorf("trace %q: record %d at %v before predecessor at %v",
-				t.Name, i, r.Time, last)
-		}
-		last = r.Time
-		if r.Kind >= numKinds {
-			return fmt.Errorf("trace %q: record %d has invalid kind %d", t.Name, i, r.Kind)
-		}
-		if r.Kind.IsDMA() && r.Pages == 0 {
-			return fmt.Errorf("trace %q: record %d is a zero-page DMA", t.Name, i)
-		}
-		if r.Page < 0 {
-			return fmt.Errorf("trace %q: record %d has negative page", t.Name, i)
-		}
+// CheckRecord reports the first structural rule that record i of trace
+// name breaks, given the time of the record before it (zero for the
+// first): records are in time order, of a valid kind, DMAs move at
+// least one page, and no page is negative.
+func CheckRecord(name string, i int64, prev sim.Time, r Record) error {
+	if r.Time < prev {
+		return fmt.Errorf("trace %q: record %d at %v before predecessor at %v", name, i, r.Time, prev)
+	}
+	if !r.Kind.Valid() {
+		return fmt.Errorf("trace %q: record %d has invalid kind %d", name, i, r.Kind)
+	}
+	if r.Kind.IsDMA() && r.Pages == 0 {
+		return fmt.Errorf("trace %q: record %d is a zero-page DMA", name, i)
+	}
+	if r.Page < 0 {
+		return fmt.Errorf("trace %q: record %d has negative page", name, i)
 	}
 	return nil
 }

@@ -51,22 +51,38 @@ func TestRecordBytes(t *testing.T) {
 	}
 }
 
+// checkRecords applies CheckRecord to every record of tr.
+func checkRecords(tr *Trace) error {
+	var prev sim.Time
+	for i, r := range tr.Records {
+		if err := CheckRecord(tr.Name, int64(i), prev, r); err != nil {
+			return err
+		}
+		prev = r.Time
+	}
+	return nil
+}
+
 func TestValidate(t *testing.T) {
 	tr := sampleTrace()
-	if err := tr.Validate(); err != nil {
+	if err := checkRecords(tr); err != nil {
 		t.Fatal(err)
 	}
 	bad := &Trace{Records: []Record{{Time: 10}, {Time: 5}}}
-	if bad.Validate() == nil {
+	if checkRecords(bad) == nil {
 		t.Error("out-of-order trace accepted")
 	}
 	zero := &Trace{Records: []Record{{Time: 0, Kind: DMARead, Pages: 0}}}
-	if zero.Validate() == nil {
+	if checkRecords(zero) == nil {
 		t.Error("zero-page DMA accepted")
 	}
 	badKind := &Trace{Records: []Record{{Time: 0, Kind: Kind(200), Pages: 1}}}
-	if badKind.Validate() == nil {
+	if checkRecords(badKind) == nil {
 		t.Error("invalid kind accepted")
+	}
+	negative := &Trace{Records: []Record{{Time: 0, Kind: ProcRead, Page: -1}}}
+	if checkRecords(negative) == nil {
+		t.Error("negative page accepted")
 	}
 }
 
@@ -94,7 +110,7 @@ func TestMerge(t *testing.T) {
 		{Time: 100, Kind: ProcRead, Page: 4},
 	}}
 	m := Merge("m", a, b)
-	if err := m.Validate(); err != nil {
+	if err := checkRecords(m); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Records) != 4 {
