@@ -4,8 +4,6 @@
 // Usage:
 //
 //	dmamem-bench [-duration 100ms] [-seed 1] [-parallel N] [-timing]
-//	             [-shards N] [-shard-addrs host:port,...]
-//	             [-shard-worker] [-shard-listen addr]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	             [-channels 1,2,4]
 //	             [-tech ddr4-2400,lpddr4]
@@ -25,15 +23,6 @@
 // including events/sec and allocations per event when available.
 // -cpuprofile and -memprofile write
 // pprof profiles of the whole run for `go tool pprof`.
-//
-// -shards N runs the sweep figures (5, 8, 9, 10) through the
-// process-sharded executor: the grid is partitioned by sweep point
-// across N worker processes (re-executions of this binary with
-// -shard-worker, or the TCP workers named by -shard-addrs) and the
-// results are reassembled in grid order, so the printed output is
-// byte-identical to the in-process run at any shard count.
-// -shard-worker serves one shard session on stdin/stdout and exits;
-// -shard-listen serves shard sessions over TCP until interrupted.
 //
 // -channels 1,2,4 adds a memory-channel dimension to the figure 10
 // sweep: each (workload, bus bandwidth) pair is re-simulated under a
@@ -77,11 +66,6 @@ func realMain() int {
 	timing := flag.Bool("timing", false, "print a per-run wall-clock timing summary to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	shards := flag.Int("shards", 0, "run sweep figures across N worker processes (0 = in-process)")
-	shardAddrs := flag.String("shard-addrs", "", "comma-separated TCP addresses of -shard-listen workers (default: spawn local subprocesses)")
-	shardWorker := flag.Bool("shard-worker", false, "serve one sweep-shard session on stdin/stdout and exit")
-	shardListen := flag.String("shard-listen", "", "serve sweep-shard sessions on this TCP address until interrupted")
-	shardTimeout := flag.Duration("shard-timeout", 0, "per-slice deadline before the coordinator retries on a fresh worker (0 = none)")
 	channelsFlag := flag.String("channels", "", "comma-separated channel counts added to the figure 10 sweep (e.g. 1,2,4; empty = legacy single-channel)")
 	techFlag := flag.String("tech", "", "comma-separated memory technologies for the tech extension and the figure 10 sweep (e.g. ddr4-2400,lpddr4; empty = every backend for tech, RDRAM-only for figure 10)")
 	replayFile := flag.String("replay", "", "replay a recorded .dmt trace, streamed from disk, instead of running figures")
@@ -104,22 +88,6 @@ func realMain() int {
 			return 1
 		}
 		fmt.Print(out)
-		return 0
-	}
-
-	if *shardWorker {
-		if err := experiments.ServeShard(ctx, os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *shardListen != "" {
-		err := experiments.ListenAndServeShards(ctx, *shardListen, os.Stderr)
-		if err != nil && ctx.Err() == nil {
-			fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-			return 1
-		}
 		return 0
 	}
 
@@ -171,23 +139,6 @@ func realMain() int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dmamem-bench: bad -tech: %v\n", err)
 		return 2
-	}
-	var coord *experiments.Coordinator
-	if *shards > 0 || *shardAddrs != "" {
-		coord = &experiments.Coordinator{Shards: *shards, Parallel: *parallel, Timeout: *shardTimeout, Timings: runner.Timings}
-		if *shardAddrs != "" {
-			coord.Addrs = strings.Split(*shardAddrs, ",")
-			if coord.Shards == 0 {
-				coord.Shards = len(coord.Addrs) // one slice per worker by default
-			}
-		} else {
-			exe, err := os.Executable()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dmamem-bench: %v\n", err)
-				return 1
-			}
-			coord.WorkerCommand = []string{exe, "-shard-worker"}
-		}
 	}
 	start := time.Now()
 
@@ -242,7 +193,7 @@ func realMain() int {
 		return nil
 	})
 	run("5", func() error {
-		pts, err := gridPoints[experiments.Fig5Point](ctx, s, coord, experiments.GridSpec{
+		pts, err := experiments.GridRun[experiments.Fig5Point](ctx, s, experiments.GridSpec{
 			Name:     experiments.GridFig5,
 			CPLimits: []float64{0.01, 0.05, 0.10, 0.20, 0.30},
 			Groups:   []int{2, 3, 6},
@@ -271,7 +222,7 @@ func realMain() int {
 		return nil
 	})
 	run("8", func() error {
-		pts, err := gridPoints[experiments.SweepPoint](ctx, s, coord, experiments.GridSpec{
+		pts, err := experiments.GridRun[experiments.SweepPoint](ctx, s, experiments.GridSpec{
 			Name:       experiments.GridFig8,
 			RatesPerMs: []float64{25, 50, 100, 200, 400},
 		})
@@ -284,7 +235,7 @@ func realMain() int {
 		return nil
 	})
 	run("9", func() error {
-		pts, err := gridPoints[experiments.SweepPoint](ctx, s, coord, experiments.GridSpec{
+		pts, err := experiments.GridRun[experiments.SweepPoint](ctx, s, experiments.GridSpec{
 			Name:        experiments.GridFig9,
 			PerTransfer: []int{0, 50, 100, 233, 400},
 		})
@@ -297,7 +248,7 @@ func realMain() int {
 		return nil
 	})
 	run("10", func() error {
-		pts, err := gridPoints[experiments.SweepPoint](ctx, s, coord, experiments.GridSpec{
+		pts, err := experiments.GridRun[experiments.SweepPoint](ctx, s, experiments.GridSpec{
 			Name:     experiments.GridFig10,
 			BusBW:    []float64{0.5e9, 1.064e9, 2e9, 3e9},
 			Channels: channels,
@@ -341,11 +292,7 @@ func realMain() int {
 	if *timing {
 		var memAfter runtime.MemStats
 		runtime.ReadMemStats(&memAfter)
-		if coord == nil {
-			// Sharded sweeps allocate in the workers; this process's
-			// count would misattribute coordinator overhead.
-			runner.Timings.SetAllocs(memAfter.Mallocs - memBefore.Mallocs)
-		}
+		runner.Timings.SetAllocs(memAfter.Mallocs - memBefore.Mallocs)
 		fmt.Fprint(os.Stderr, runner.Timings.Summary(time.Since(start)))
 	}
 	if failed {
@@ -384,15 +331,4 @@ func parseChannels(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// gridPoints runs a sweep grid in-process, or through the shard
-// coordinator when -shards selected one. Both paths enumerate and
-// reassemble points in grid order, so the caller prints identical
-// bytes either way.
-func gridPoints[T any](ctx context.Context, s *experiments.Suite, coord *experiments.Coordinator, gs experiments.GridSpec) ([]T, error) {
-	if coord != nil {
-		return experiments.ShardedGrid[T](ctx, coord, s.Spec(), gs)
-	}
-	return experiments.GridRun[T](ctx, s, gs)
 }

@@ -9,8 +9,6 @@
 //	dmamem-serve [-listen :8080] [-workers 2] [-quota 16]
 //	             [-weights tenant=2,other=1] [-cache 256]
 //	             [-point-parallel 1] [-max-grid-points 4096]
-//	             [-shard-addrs host:port,...] [-shards N]
-//	             [-shard-timeout 0] [-shard-retries 0]
 //
 // The job schema and a worked curl session are documented in
 // docs/SERVICE.md. A report job's response body is byte-identical to
@@ -19,10 +17,6 @@
 //
 //	curl -s -d '{"Workload":"OLTP-St"}' 'localhost:8080/v1/jobs?wait=1' \
 //	  | cmp - internal/experiments/testdata/golden/oltp-st_baseline.json
-//
-// -shard-addrs fans every grid job's sweep points out to the named
-// TCP shard workers (`dmamem-bench -shard-listen addr`) through the
-// retrying coordinator; without it grids run in-process.
 //
 // The daemon shuts down cleanly on SIGINT/SIGTERM: it stops
 // accepting, cancels queued and running jobs, and drains the fleet.
@@ -77,10 +71,6 @@ func run(args []string, ready func(addr string)) error {
 	cache := fs.Int("cache", 256, "result cache entries (negative disables)")
 	pointParallel := fs.Int("point-parallel", 1, "goroutines per in-process grid job")
 	maxGridPoints := fs.Int("max-grid-points", 4096, "reject grid jobs over this many points (negative = unlimited)")
-	shardAddrs := fs.String("shard-addrs", "", "comma-separated TCP shard worker addresses for grid jobs")
-	shards := fs.Int("shards", 0, "shard slices for grid jobs (0 = one per address)")
-	shardTimeout := fs.Duration("shard-timeout", 0, "per-slice shard attempt timeout (0 = none)")
-	shardRetries := fs.Int("shard-retries", 0, "shard retry budget (0 = default, negative disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -97,10 +87,6 @@ func run(args []string, ready func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	var addrs []string
-	if *shardAddrs != "" {
-		addrs = strings.Split(*shardAddrs, ",")
-	}
 
 	d := service.New(service.Config{
 		Workers:       *workers,
@@ -109,10 +95,6 @@ func run(args []string, ready func(addr string)) error {
 		CacheEntries:  *cache,
 		PointParallel: *pointParallel,
 		MaxGridPoints: *maxGridPoints,
-		ShardAddrs:    addrs,
-		Shards:        *shards,
-		ShardTimeout:  *shardTimeout,
-		ShardRetries:  *shardRetries,
 		Log:           os.Stderr,
 	})
 	defer d.Close()

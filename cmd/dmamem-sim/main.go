@@ -18,12 +18,6 @@
 //	  -channels N        memory channels (0 = legacy single-channel)
 //	  -stripe-pages N    pages per channel stripe (with -channels)
 //	  -channel-bw B      per-channel bandwidth cap, bytes/s (with -channels)
-//
-// With -shard-worker the command instead serves one sweep-shard
-// session on stdin/stdout (see the shard protocol in
-// internal/experiments); with -shard-listen addr it serves shard
-// sessions over TCP until interrupted. Both make any machine with the
-// binary usable as a worker for a sharded dmamem-bench sweep.
 package main
 
 import (
@@ -55,8 +49,6 @@ func main() {
 	channelBW := flag.Float64("channel-bw", 0, "per-channel bandwidth cap, bytes/s (0 = uncapped; needs -channels)")
 	compare := flag.Bool("compare", true, "also run the baseline and report savings")
 	jsonOut := flag.Bool("json", false, "emit the report(s) as JSON")
-	shardWorker := flag.Bool("shard-worker", false, "serve one sweep-shard session on stdin/stdout and exit")
-	shardListen := flag.String("shard-listen", "", "serve sweep-shard sessions on this TCP address until interrupted")
 	flag.Parse()
 
 	tech, err := parseTech(*techFlag)
@@ -66,20 +58,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *shardWorker {
-		if err := experiments.ServeShard(ctx, os.Stdin, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *shardListen != "" {
-		err := experiments.ListenAndServeShards(ctx, *shardListen, os.Stderr)
-		if err != nil && ctx.Err() == nil {
-			fatal(err)
-		}
-		return
-	}
 
 	s := dmamem.Simulation{
 		CPLimit: *cpLimit, PLGroups: *groups, MemoryTech: tech,

@@ -237,9 +237,8 @@ func TestGoldenFig8Saturated(t *testing.T) {
 	writeOrCompareGolden(t, goldenPath(t, "fig8_saturated.json"), got)
 }
 
-// fig10ChannelsSpec is the multi-channel sweep slice the sharded
-// golden pins: one workload and bus bandwidth, swept over 1/2/4
-// channels.
+// fig10ChannelsSpec is the multi-channel sweep slice the golden pins:
+// one workload and bus bandwidth, swept over 1/2/4 channels.
 func fig10ChannelsSpec() GridSpec {
 	return GridSpec{
 		Name:      GridFig10,
@@ -250,26 +249,23 @@ func fig10ChannelsSpec() GridSpec {
 }
 
 // TestGoldenMultiChannelSweep pins the multi-channel figure 10 points
-// against the corpus and proves the sharded executor reproduces them
-// byte-identically at 1, 2 and 4 shards — topology serialized through
-// the shard protocol included. Running under -race in CI makes this
-// the "golden corpus passes under -race at shards 1/2/4" gate.
+// against the corpus and proves a four-worker Runner reproduces the
+// sequential points exactly. Running under -race in CI makes this the
+// "golden corpus passes under -race in parallel" gate.
 func TestGoldenMultiChannelSweep(t *testing.T) {
-	s := goldenSuite()
 	spec := fig10ChannelsSpec()
-	want, err := GridRun[SweepPoint](ctx, s, spec)
+	want, err := GridRun[SweepPoint](ctx, goldenSuite(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writeOrCompareGolden(t, goldenPath(t, "fig10_channels.json"), want)
-	for _, shards := range []int{1, 2, 4} {
-		c := &Coordinator{Shards: shards, Timings: &metrics.Timings{}, dial: pipeDial(t)}
-		got, err := ShardedGrid[SweepPoint](ctx, c, s.Spec(), spec)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: sharded multi-channel points differ\ngot  %+v\nwant %+v", shards, got, want)
-		}
+	par := goldenSuite()
+	par.Runner = &Runner{Parallel: 4}
+	got, err := GridRun[SweepPoint](ctx, par, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("parallel=4: multi-channel points differ\ngot  %+v\nwant %+v", got, want)
 	}
 }

@@ -14,10 +14,10 @@ import (
 	"dmamem/internal/synth"
 )
 
-// SuiteSpec is the serializable shape of a Suite: everything a worker
-// process needs to reconstruct the exact experiment configuration.
+// SuiteSpec is the serializable shape of a Suite: everything a job
+// submission needs to reconstruct the exact experiment configuration.
 // Every field round-trips through JSON without loss, so a Suite built
-// from a spec produces bit-identical simulations in any process.
+// from a spec produces bit-identical simulations.
 type SuiteSpec struct {
 	// Duration of generated traces (sim.Duration, picoseconds).
 	Duration sim.Duration
@@ -27,17 +27,8 @@ type SuiteSpec struct {
 	Seed uint64
 }
 
-// Spec returns the serializable configuration of the suite.
-func (s *Suite) Spec() SuiteSpec {
-	return SuiteSpec{
-		Duration:   s.Duration,
-		DbDuration: s.DbDuration,
-		Seed:       s.Seed,
-	}
-}
-
 // NewSuiteFromSpec builds a suite from a serialized spec. Workloads
-// and baselines are generated lazily and cached per process.
+// and baselines are generated lazily and cached per suite.
 func NewSuiteFromSpec(sp SuiteSpec) *Suite {
 	s := NewSuite(sp.Duration, sp.Seed)
 	s.DbDuration = sp.DbDuration
@@ -58,18 +49,16 @@ const (
 	// GridFig10 sweeps I/O bus bandwidth (BusBW) over Workloads.
 	GridFig10 = "fig10"
 	// GridNoop yields Points trivial results without running any
-	// simulation. It exists to measure the shard protocol itself:
-	// BenchmarkShardedSweep uses it to expose coordinator overhead per
-	// sweep point.
+	// simulation, so the service's scheduler tests can queue and
+	// cancel grid jobs without simulation cost.
 	GridNoop = "noop"
 )
 
 // GridSpec names a grid of independent sweep points and its
 // parameters. A spec is pure data: the same spec resolved against
 // suites built from the same SuiteSpec enumerates the same points in
-// the same order in every process, which is what lets a coordinator
-// partition work by point index and reassemble results
-// deterministically.
+// the same order, which is what lets the service hash it as a cache
+// key.
 type GridSpec struct {
 	// Name selects the grid (GridFig5, GridFig8, ...).
 	Name string
@@ -117,27 +106,20 @@ type resolvedGrid struct {
 	run   func(ctx context.Context, i int) (any, uint64, error)
 }
 
-// resolveGrid turns a spec into its runnable form. Resolution is
-// cheap and deterministic — no traces are generated until a point
-// runs — so coordinators resolve grids locally just to size and label
-// the partition.
+// resolveGrid validates a spec and turns it into its runnable form.
+// Resolution is cheap and deterministic — no traces are generated
+// until a point runs — and rejects every bad parameter up front, so a
+// grid fails whole at admission instead of one point mid-sweep.
 func (s *Suite) resolveGrid(gs GridSpec) (*resolvedGrid, error) {
 	switch gs.Name {
 	case GridFig5:
-		return s.fig5Grid(gs), nil
+		return s.fig5Grid(gs)
 	case GridFig8:
-		return s.fig8Grid(gs), nil
+		return s.fig8Grid(gs)
 	case GridFig9:
-		return s.fig9Grid(gs), nil
+		return s.fig9Grid(gs)
 	case GridFig10:
-		// Resolve technologies eagerly so a typo fails the whole grid
-		// loudly instead of erroring one point at a time mid-sweep.
-		for _, tech := range gs.Techs {
-			if _, err := energy.Lookup(tech); err != nil {
-				return nil, err
-			}
-		}
-		return s.fig10Grid(gs), nil
+		return s.fig10Grid(gs)
 	case GridNoop:
 		return &resolvedGrid{
 			n:     gs.Points,
@@ -150,17 +132,20 @@ func (s *Suite) resolveGrid(gs GridSpec) (*resolvedGrid, error) {
 	return nil, fmt.Errorf("experiments: unknown grid %q", gs.Name)
 }
 
-// GridRun resolves and executes a grid in-process on the suite's
-// Runner and returns the points in grid order. The output is
-// byte-identical to a sharded run of the same spec at any shard count
-// (see Coordinator): both enumerate the same points and reassemble
-// them by index.
-func GridRun[T any](ctx context.Context, s *Suite, gs GridSpec) ([]T, error) {
-	g, err := s.resolveGrid(gs)
-	if err != nil {
-		return nil, err
+// checkEach returns the first error check reports for vals.
+func checkEach[T any](vals []T, check func(T) error) error {
+	for _, v := range vals {
+		if err := check(v); err != nil {
+			return err
+		}
 	}
-	vals, err := runGrid(ctx, s.Runner, g)
+	return nil
+}
+
+// GridRun resolves and executes a grid on the suite's Runner and
+// returns the points in grid order, identical at any Runner.Parallel.
+func GridRun[T any](ctx context.Context, s *Suite, gs GridSpec) ([]T, error) {
+	vals, err := s.runGrid(ctx, gs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -175,9 +160,14 @@ func GridRun[T any](ctx context.Context, s *Suite, gs GridSpec) ([]T, error) {
 	return out, nil
 }
 
-// runGrid fans the grid's points across the runner, each writing its
-// own slot, and returns the values in point order.
-func runGrid(ctx context.Context, r *Runner, g *resolvedGrid) ([]any, error) {
+// runGrid resolves gs and fans its points across the suite's Runner,
+// each writing its own slot, and returns the values in point order.
+// onPoint, when non-nil, is called after each finished point.
+func (s *Suite) runGrid(ctx context.Context, gs GridSpec, onPoint func(i int, label string)) ([]any, error) {
+	g, err := s.resolveGrid(gs)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]any, g.n)
 	jobs := make([]Job, g.n)
 	for i := 0; i < g.n; i++ {
@@ -190,10 +180,13 @@ func runGrid(ctx context.Context, r *Runner, g *resolvedGrid) ([]any, error) {
 			}
 			job.Events = events
 			out[i] = v
+			if onPoint != nil {
+				onPoint(i, job.Label)
+			}
 			return nil
 		}}
 	}
-	if err := r.Do(ctx, jobs); err != nil {
+	if err := s.Runner.Do(ctx, jobs); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -201,9 +194,9 @@ func runGrid(ctx context.Context, r *Runner, g *resolvedGrid) ([]any, error) {
 
 // baseEntry is the single-flight slot for one workload's baseline
 // run, mirroring the workload cache: sweeps over the same workload
-// share one baseline simulation per process, and because the baseline
-// is a pure function of (config, trace) every process computes the
-// same report bit for bit.
+// share one baseline simulation per suite, whichever point asks first.
+// The baseline is a pure function of (config, trace), so which point
+// that is never changes the report.
 type baseEntry struct {
 	once sync.Once
 	res  *core.Result
@@ -243,7 +236,13 @@ func (s *Suite) baseline(ctx context.Context, name string) (*core.Result, error)
 // and CP-Limit, plain DMA-TA followed by DMA-TA-PL at each group
 // count. Each point runs the technique against the workload's cached
 // baseline.
-func (s *Suite) fig5Grid(gs GridSpec) *resolvedGrid {
+func (s *Suite) fig5Grid(gs GridSpec) (*resolvedGrid, error) {
+	if err := checkEach(gs.CPLimits, checkCPLimit); err != nil {
+		return nil, err
+	}
+	if err := checkEach(gs.Groups, checkPLGroups); err != nil {
+		return nil, err
+	}
 	type spec struct {
 		wi      int
 		scheme  string
@@ -290,14 +289,19 @@ func (s *Suite) fig5Grid(gs GridSpec) *resolvedGrid {
 				UF:      res.Report.UtilizationFactor,
 			}, res.SimEvents(), nil
 		},
-	}
+	}, nil
 }
 
 // fig8Grid enumerates the workload-intensity sweep: one point per
 // (arrival rate, scheme), each regenerating its own trace (the
 // deterministic generator makes duplicate generation bit-identical)
 // and running a baseline/technique pair.
-func (s *Suite) fig8Grid(gs GridSpec) *resolvedGrid {
+func (s *Suite) fig8Grid(gs GridSpec) (*resolvedGrid, error) {
+	for _, rate := range gs.RatesPerMs {
+		if !(rate > 0) {
+			return nil, fmt.Errorf("experiments: nonpositive rate %g", rate)
+		}
+	}
 	type spec struct {
 		rate   float64
 		scheme int
@@ -330,12 +334,17 @@ func (s *Suite) fig8Grid(gs GridSpec) *resolvedGrid {
 			return SweepPoint{Workload: "Synthetic-St", Scheme: sweepSchemes[sp.scheme],
 				X: sp.rate, Savings: savings}, events, nil
 		},
-	}
+	}, nil
 }
 
 // fig9Grid enumerates the processor-interference sweep: one point per
 // (accesses-per-transfer, scheme) on Synthetic-Db.
-func (s *Suite) fig9Grid(gs GridSpec) *resolvedGrid {
+func (s *Suite) fig9Grid(gs GridSpec) (*resolvedGrid, error) {
+	for _, per := range gs.PerTransfer {
+		if per < 0 {
+			return nil, fmt.Errorf("experiments: negative PerTransfer %d", per)
+		}
+	}
 	type spec struct {
 		per    int
 		scheme int
@@ -369,7 +378,7 @@ func (s *Suite) fig9Grid(gs GridSpec) *resolvedGrid {
 			return SweepPoint{Workload: "Synthetic-Db", Scheme: sweepSchemes[sp.scheme],
 				X: float64(sp.per), Savings: savings}, events, nil
 		},
-	}
+	}, nil
 }
 
 // fig10Grid enumerates the bandwidth-ratio sweep: one point per
@@ -378,7 +387,28 @@ func (s *Suite) fig9Grid(gs GridSpec) *resolvedGrid {
 // legacy RDRAM default). Without Channels and Techs it degenerates to
 // the classic (workload, bus bandwidth, scheme) enumeration, byte for
 // byte.
-func (s *Suite) fig10Grid(gs GridSpec) *resolvedGrid {
+func (s *Suite) fig10Grid(gs GridSpec) (*resolvedGrid, error) {
+	if err := checkEach(gs.Workloads, checkWorkload); err != nil {
+		return nil, err
+	}
+	for _, bw := range gs.BusBW {
+		if err := (bus.Config{Count: 3, Bandwidth: bw}).Validate(); err != nil {
+			return nil, err
+		}
+	}
+	for _, ch := range gs.Channels {
+		if ch < 1 {
+			return nil, fmt.Errorf("experiments: Channels must be >= 1, got %d", ch)
+		}
+		if err := (memsys.Topology{Channels: ch}).Validate(memsys.Default()); err != nil {
+			return nil, err
+		}
+	}
+	for _, tech := range gs.Techs {
+		if _, err := energy.Lookup(tech); err != nil {
+			return nil, err
+		}
+	}
 	workloads := gs.Workloads
 	if len(workloads) == 0 {
 		workloads = []string{"OLTP-St", "Synthetic-St"}
@@ -457,5 +487,5 @@ func (s *Suite) fig10Grid(gs GridSpec) *resolvedGrid {
 			return SweepPoint{Workload: sp.workload, Scheme: schemeName(sp),
 				X: memBW / sp.bw, Savings: savings}, events, nil
 		},
-	}
+	}, nil
 }

@@ -92,16 +92,8 @@ type ReportSpec struct {
 // spec is canonical: two submissions meaning the same run normalize
 // to equal values and therefore equal canonical hashes.
 func (sp ReportSpec) Normalize() (ReportSpec, error) {
-	found := false
-	for _, w := range workloadNames {
-		if sp.Workload == w {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return sp, fmt.Errorf("experiments: unknown workload %q (want one of %s)",
-			sp.Workload, strings.Join(workloadNames, ", "))
+	if err := checkWorkload(sp.Workload); err != nil {
+		return sp, err
 	}
 	if sp.Scheme == "" {
 		sp.Scheme = "baseline"
@@ -126,11 +118,13 @@ func (sp ReportSpec) Normalize() (ReportSpec, error) {
 		return sp, fmt.Errorf("experiments: unknown scheme %q (want one of %s)",
 			sp.Scheme, strings.Join(ReportSchemes(), ", "))
 	}
-	if sp.CPLimit < 0 {
-		return sp, fmt.Errorf("experiments: negative CPLimit %v", sp.CPLimit)
+	if err := checkCPLimit(sp.CPLimit); err != nil {
+		return sp, err
 	}
-	if sp.PLGroups < 0 || sp.PLGroups == 1 {
-		return sp, fmt.Errorf("experiments: PLGroups %d out of range: a layout needs a hot and a cold group (>= 2); 0 selects the default 2", sp.PLGroups)
+	if sp.PLGroups != 0 {
+		if err := checkPLGroups(sp.PLGroups); err != nil {
+			return sp, fmt.Errorf("%w; 0 selects the default 2", err)
+		}
 	}
 	if _, err := energy.Lookup(sp.Tech); err != nil {
 		return sp, err
@@ -148,6 +142,35 @@ func (sp ReportSpec) Normalize() (ReportSpec, error) {
 		sp.Suite.Seed = 1
 	}
 	return sp, nil
+}
+
+// checkWorkload rejects a name that is not a Table 2 workload, listing
+// every legal one.
+func checkWorkload(name string) error {
+	for _, w := range workloadNames {
+		if name == w {
+			return nil
+		}
+	}
+	return fmt.Errorf("experiments: unknown workload %q (want one of %s)",
+		name, strings.Join(workloadNames, ", "))
+}
+
+// checkCPLimit rejects a negative DMA-TA degradation bound.
+func checkCPLimit(cp float64) error {
+	if cp < 0 {
+		return fmt.Errorf("experiments: negative CPLimit %v", cp)
+	}
+	return nil
+}
+
+// checkPLGroups rejects a PL group count that cannot hold a hot and a
+// cold group.
+func checkPLGroups(g int) error {
+	if g < 2 {
+		return fmt.Errorf("experiments: PLGroups %d out of range: a layout needs a hot and a cold group (>= 2)", g)
+	}
+	return nil
 }
 
 // reportConfig builds the core configuration of a normalized spec —
@@ -220,9 +243,9 @@ func RunReport(ctx context.Context, sp ReportSpec) (*metrics.Report, error) {
 
 // ValidateGrid resolves a grid spec against a suite spec without
 // running anything and returns the point count — the service's
-// admission-time validation, reusing the same resolveGrid the sharded
-// executor trusts, so a typo'd grid name or technology fails the
-// submission loudly instead of a worker mid-sweep.
+// admission-time validation. It is the same resolveGrid every grid
+// run starts with, so a bad grid name, workload, technology or sweep
+// value fails the submission loudly instead of a point mid-sweep.
 func ValidateGrid(sp SuiteSpec, gs GridSpec) (int, error) {
 	g, err := NewSuiteFromSpec(sp).resolveGrid(gs)
 	if err != nil {
@@ -231,41 +254,20 @@ func ValidateGrid(sp SuiteSpec, gs GridSpec) (int, error) {
 	return g.n, nil
 }
 
-// GridRunRaw resolves and executes a grid in-process and returns each
-// point's compact JSON — exactly the bytes a shard worker would have
-// streamed for the same point, so the service's in-process and
-// coordinator-backed grid paths produce byte-identical results.
-// onPoint, when non-nil, is called after each finished point (from
-// the worker goroutine that ran it) for progress reporting.
+// GridRunRaw runs a grid like GridRun and returns each point's
+// compact JSON, the form the service caches and serves. onPoint,
+// when non-nil, is called after each finished point (from the worker
+// goroutine that ran it) for progress reporting.
 func GridRunRaw(ctx context.Context, s *Suite, gs GridSpec, onPoint func(i int, label string)) ([]json.RawMessage, error) {
-	g, err := s.resolveGrid(gs)
+	vals, err := s.runGrid(ctx, gs, onPoint)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]json.RawMessage, g.n)
-	jobs := make([]Job, g.n)
-	for i := 0; i < g.n; i++ {
-		i := i
-		job := &jobs[i]
-		*job = Job{Label: g.label(i), Run: func(ctx context.Context) error {
-			v, events, err := g.run(ctx, i)
-			if err != nil {
-				return err
-			}
-			job.Events = events
-			b, err := json.Marshal(v)
-			if err != nil {
-				return err
-			}
-			out[i] = b
-			if onPoint != nil {
-				onPoint(i, g.label(i))
-			}
-			return nil
-		}}
-	}
-	if err := s.Runner.Do(ctx, jobs); err != nil {
-		return nil, err
+	out := make([]json.RawMessage, len(vals))
+	for i, v := range vals {
+		if out[i], err = json.Marshal(v); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -442,6 +442,30 @@ func TestDaemonCloseCancelsInFlight(t *testing.T) {
 	}
 }
 
+// TestRunJobFailureNamesTenantAndJob holds a job that fails while
+// running (here a grid that never passed admission) to a failed
+// status whose error names the job and tenant, counted in
+// jobs_failed.
+func TestRunJobFailureNamesTenantAndJob(t *testing.T) {
+	d := newPaused(Config{})
+	defer d.Close()
+	w := work{Grid: &gridWork{Grid: experiments.GridSpec{Name: "bogus"}}}
+	js := newJobState("job-x", "acme", "", w, 0, context.Background())
+	d.runJob(js)
+	st := js.statusView()
+	if st.Status != StatusFailed {
+		t.Fatalf("job finished %q, want failed", st.Status)
+	}
+	for _, want := range []string{"job job-x (tenant acme)", "unknown grid"} {
+		if !strings.Contains(st.Error, want) {
+			t.Errorf("failure %q does not contain %q", st.Error, want)
+		}
+	}
+	if got := d.Counters().Get("jobs_failed"); got != 1 {
+		t.Errorf("jobs_failed = %d, want 1", got)
+	}
+}
+
 // TestEventStreamOrdering holds every job to a monotonically
 // sequenced event stream whose last entry is terminal — the contract
 // the NDJSON endpoint relays.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"dmamem/internal/experiments"
 	"dmamem/internal/metrics"
@@ -36,21 +35,6 @@ type Config struct {
 	// MaxGridPoints rejects grid jobs resolving to more points at
 	// admission; 0 means 4096, negative means unlimited.
 	MaxGridPoints int
-	// ShardAddrs, when non-empty, fans every grid job's points out to
-	// these TCP shard workers (experiments.ListenAndServeShards)
-	// through the retrying Coordinator instead of running them
-	// in-process.
-	ShardAddrs []string
-	// Shards is the slice count for sharded grid jobs; 0 means
-	// len(ShardAddrs).
-	Shards int
-	// ShardTimeout bounds one shard slice attempt (Coordinator
-	// semantics); 0 means no limit.
-	ShardTimeout time.Duration
-	// ShardRetries is the Coordinator retry budget for slices lost to
-	// transport failures; 0 means the coordinator default, negative
-	// disables retries.
-	ShardRetries int
 	// Log, when non-nil, receives one line per job state change.
 	Log io.Writer
 }
@@ -70,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxGridPoints == 0 {
 		c.MaxGridPoints = 4096
-	}
-	if c.Shards == 0 {
-		c.Shards = len(c.ShardAddrs)
 	}
 	return c
 }
@@ -412,8 +393,8 @@ func (d *Daemon) runJob(js *jobState) {
 
 // execute runs the job's work spec and returns the canonical result
 // bytes. Errors are wrapped with the job and tenant identity, so a
-// failure deep in a shard slice still names whose sweep it broke
-// ("job-000007 (tenant acme): ... shard 1/2 (points 3..5): ...").
+// failure deep in a sweep still names whose job it broke
+// ("job-000007 (tenant acme): fig10/...: ...").
 func (d *Daemon) execute(js *jobState) ([]byte, error) {
 	var (
 		result []byte
@@ -437,27 +418,10 @@ func (d *Daemon) execute(js *jobState) ([]byte, error) {
 	return result, nil
 }
 
-// executeGrid runs a grid job in-process, or through the TCP shard
-// coordinator when the daemon is configured with a worker fleet. Both
-// paths produce byte-identical canonical point arrays.
+// executeGrid runs a grid job on an in-process Runner of
+// PointParallel goroutines and returns its canonical point array.
 func (d *Daemon) executeGrid(js *jobState) ([]byte, error) {
 	gw := js.w.Grid
-	if len(d.cfg.ShardAddrs) > 0 {
-		c := &experiments.Coordinator{
-			Shards:   d.cfg.Shards,
-			Addrs:    d.cfg.ShardAddrs,
-			Timeout:  d.cfg.ShardTimeout,
-			Retries:  d.cfg.ShardRetries,
-			Parallel: d.cfg.PointParallel,
-		}
-		points, err := c.Run(js.ctx, gw.Suite, gw.Grid)
-		if err != nil {
-			return nil, err
-		}
-		d.counters.Add("grid_points", uint64(len(points)))
-		js.event("point", fmt.Sprintf("%d points via %d shard workers", len(points), len(d.cfg.ShardAddrs)))
-		return experiments.CanonicalJSON(points)
-	}
 	s := experiments.NewSuiteFromSpec(gw.Suite)
 	if d.cfg.PointParallel > 1 {
 		s.Runner = &experiments.Runner{Parallel: d.cfg.PointParallel}

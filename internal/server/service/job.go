@@ -2,19 +2,16 @@
 // long-running HTTP/JSON daemon (cmd/dmamem-serve) that accepts
 // validated Simulation/GridSpec job submissions from tenants,
 // schedules them on a bounded worker fleet with admission control and
-// per-tenant weighted fair queueing, optionally fans grid points out
-// to TCP shard workers through the experiments.Coordinator, caches
-// completed results keyed by a canonical config hash, and streams
-// per-job progress events.
+// per-tenant weighted fair queueing, caches completed results keyed
+// by a canonical config hash, and streams per-job progress events.
 //
 // Results are bit-stable: a report job's response is the golden-corpus
 // serialization of its metrics.Report (byte-identical to
 // internal/experiments/testdata/golden/ for the default suite), and a
-// grid job's points are exactly the bytes a shard worker would
-// stream, so in-process and coordinator-backed execution agree byte
-// for byte. That stability is what makes the result cache sound: two
-// submissions that normalize to the same canonical spec share one
-// answer.
+// grid job's response is the canonical array of its points, identical
+// at any PointParallel. That stability is what makes the result cache
+// sound: two submissions that normalize to the same canonical spec
+// share one answer.
 package service
 
 import (
@@ -180,7 +177,7 @@ func simTechnique(scheme string) dmamem.Technique {
 // spec plus the grid point count (0 for report jobs). All enumeration
 // errors are loud and reuse the library's own validators:
 // Simulation.Validate for report parameters, the experiments grid
-// resolver for grid names and technologies.
+// resolver for grid names and every sweep parameter.
 func (j Job) normalize(maxGridPoints int) (work, int, error) {
 	if j.Version != 0 && j.Version != SchemaVersion {
 		return work{}, 0, fmt.Errorf("%w: job schema version %d, want %d (or omit it)", ErrBadJob, j.Version, SchemaVersion)

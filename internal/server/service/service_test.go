@@ -235,6 +235,15 @@ func TestServiceBadJobs(t *testing.T) {
 		{"negative-duration", `{"Workload":"OLTP-St","DurationMs":-4}`, "negative DurationMs"},
 		{"one-group", `{"Workload":"OLTP-St","Scheme":"dma-ta-pl","PLGroups":1}`, "PLGroups 1"},
 		{"removed-workers", `{"Workload":"OLTP-St","Workers":4}`, "unknown field"},
+		{"fig10-zero-channels", `{"Grid":{"Name":"fig10","BusBW":[1e9],"Channels":[0]}}`, "Channels must be >= 1, got 0"},
+		{"fig10-negative-channels", `{"Grid":{"Name":"fig10","BusBW":[1e9],"Channels":[-2]}}`, "Channels must be >= 1, got -2"},
+		{"fig10-nondividing-channels", `{"Grid":{"Name":"fig10","BusBW":[1e9],"Channels":[3]}}`, "must divide NumChips"},
+		{"fig10-bad-workload", `{"Grid":{"Name":"fig10","BusBW":[1e9],"Workloads":["nope"]}}`, "unknown workload"},
+		{"fig10-zero-bus", `{"Grid":{"Name":"fig10","BusBW":[0]}}`, "Bandwidth must be positive"},
+		{"fig5-negative-groups", `{"Grid":{"Name":"fig5","CPLimits":[0.1],"Groups":[-1]}}`, "PLGroups -1 out of range"},
+		{"fig5-negative-cplimit", `{"Grid":{"Name":"fig5","CPLimits":[-0.5]}}`, "negative CPLimit"},
+		{"fig8-zero-rate", `{"Grid":{"Name":"fig8","RatesPerMs":[0]}}`, "nonpositive rate"},
+		{"fig9-negative-per-transfer", `{"Grid":{"Name":"fig9","PerTransfer":[-3]}}`, "negative PerTransfer"},
 	}
 	for _, tc := range cases {
 		tc := tc
