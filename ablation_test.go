@@ -23,6 +23,7 @@ import (
 
 	"dmamem/internal/controller"
 	"dmamem/internal/core"
+	"dmamem/internal/energy"
 	"dmamem/internal/layout"
 	"dmamem/internal/memsys"
 	"dmamem/internal/policy"
@@ -193,9 +194,13 @@ func BenchmarkAblationStaticPolicy(b *testing.B) {
 		}
 		return s
 	}
+	rdram, err := energy.Lookup("rdram")
+	if err != nil {
+		b.Fatal(err)
+	}
 	var dynamic, nap, powerdown float64
 	for i := 0; i < b.N; i++ {
-		dynamic = vs(policy.NewDynamic())
+		dynamic = vs(policy.ChainFor(rdram))
 		nap = vs(&policy.Static{Mode: 2})
 		powerdown = vs(&policy.Static{Mode: 3})
 	}
@@ -209,6 +214,10 @@ func BenchmarkAblationStaticPolicy(b *testing.B) {
 // DMA-dominated workloads.
 func BenchmarkAblationSelfTuning(b *testing.B) {
 	tr := ablationTrace(b)
+	rdram, err := energy.Lookup("rdram")
+	if err != nil {
+		b.Fatal(err)
+	}
 	var fixed, tuned float64
 	for i := 0; i < b.N; i++ {
 		window := tr.Duration() + 2*sim.Millisecond
@@ -216,7 +225,7 @@ func BenchmarkAblationSelfTuning(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tunedRes, err := core.Run(core.Config{Policy: policy.NewSelfTuning(), MeterWindow: window}, tr)
+		tunedRes, err := core.Run(core.Config{Policy: policy.NewSelfTuning(rdram), MeterWindow: window}, tr)
 		if err != nil {
 			b.Fatal(err)
 		}

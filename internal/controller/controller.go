@@ -116,18 +116,9 @@ func (c *Config) Validate() error {
 	if c.Policy == nil {
 		return fmt.Errorf("controller: nil policy")
 	}
-	// Policies that can check themselves (Dynamic's threshold chain,
-	// Static's park mode) are validated with the rest of the config.
-	// Model-aware policies are deferred to New, which checks them
-	// against the resolved technology model instead (a park mode legal
-	// for a 5-state DDR4 machine is illegal for a 3-state LPDDR4 one).
-	if _, modelAware := c.Policy.(policy.ModelValidator); !modelAware {
-		if v, ok := c.Policy.(interface{ Validate() error }); ok {
-			if err := v.Validate(); err != nil {
-				return err
-			}
-		}
-	}
+	// Policies are checked by New, against the resolved technology
+	// model (a park mode legal for a 5-state DDR4 machine is illegal
+	// for a 3-state LPDDR4 one).
 	if c.TA != nil {
 		if err := c.TA.Validate(); err != nil {
 			return err
@@ -304,8 +295,7 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	// Policies that know their state-machine requirements are checked
-	// against the resolved model (in preference to the model-blind
-	// Validate already run by cfg.Validate).
+	// against the resolved model.
 	if v, ok := cfg.Policy.(policy.ModelValidator); ok {
 		if err := v.ValidateForModel(model); err != nil {
 			return nil, err
@@ -345,7 +335,7 @@ func New(eng *sim.Engine, cfg Config) (*Controller, error) {
 	}
 	for i := 0; i < cfg.Geometry.NumChips; i++ {
 		cs := &chipState{
-			chip:    memsys.NewChipWithModel(i, cfg.InitialState, eng.Now(), model),
+			chip:    memsys.NewChip(i, cfg.InitialState, eng.Now(), model),
 			channel: c.channelOf[i],
 		}
 		cs.policyFn = func(e *sim.Engine) { c.onPolicyTimer(cs, e) }

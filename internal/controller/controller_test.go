@@ -13,11 +13,21 @@ import (
 	"dmamem/internal/trace"
 )
 
+// rdram is the paper's Table 1 machine, the controller's default
+// model.
+var rdram = func() *energy.Model {
+	m, err := energy.Lookup("rdram")
+	if err != nil {
+		panic(err)
+	}
+	return m
+}()
+
 func baseConfig() Config {
 	return Config{
 		Geometry:     memsys.Default(),
 		Buses:        bus.DefaultConfig(),
-		Policy:       policy.NewDynamic(),
+		Policy:       policy.ChainFor(rdram),
 		InitialState: energy.Powerdown,
 	}
 }
@@ -374,7 +384,7 @@ func TestEnergyAccountingClosed(t *testing.T) {
 	eng.Run()
 	end := c.Finish(sim.Time(1 * sim.Millisecond))
 	r := c.Report("floor", end)
-	want := 32 * energy.PowerdownPower * 1e-3
+	want := 32 * rdram.Power(energy.Powerdown) * 1e-3
 	if math.Abs(r.TotalEnergy()-want)/want > 1e-9 {
 		t.Fatalf("energy = %g, want %g", r.TotalEnergy(), want)
 	}

@@ -96,7 +96,7 @@ func (c Config) withDefaults() (Config, *energy.Model, error) {
 	}
 	if c.Policy == nil {
 		// The technology's calibrated demotion chain; for the RDRAM
-		// default its waits equal the classic NewDynamic thresholds.
+		// default, the evaluation's baseline dynamic policy.
 		c.Policy = policy.ChainFor(model)
 	}
 	if c.WarmupFraction == 0 {
@@ -215,7 +215,7 @@ func RunContext(ctx context.Context, cfg Config, tr *trace.Trace) (*Result, erro
 
 	var lm *layout.Manager
 	if cfg.PL != nil {
-		if lm, err = layout.New(cfg.Geometry, *cfg.PL); err != nil {
+		if lm, err = layout.New(cfg.Geometry, *cfg.PL, model); err != nil {
 			return nil, err
 		}
 	}

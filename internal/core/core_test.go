@@ -14,10 +14,20 @@ import (
 	"dmamem/internal/layout"
 	"dmamem/internal/memsys"
 	"dmamem/internal/policy"
+	"dmamem/internal/server"
 	"dmamem/internal/sim"
 	"dmamem/internal/synth"
 	"dmamem/internal/trace"
 )
+
+// rdram is the paper's Table 1 machine, the registry default.
+var rdram = func() *energy.Model {
+	m, err := energy.Lookup("rdram")
+	if err != nil {
+		panic(err)
+	}
+	return m
+}()
 
 // stTrace returns a short Synthetic-St trace shared by tests.
 func stTrace(t *testing.T, d sim.Duration) *trace.Trace {
@@ -337,5 +347,44 @@ func TestCalibrateFallbacks(t *testing.T) {
 	}
 	if cal.TransfersPerRequest != 1 {
 		t.Fatalf("fallback transfers = %g", cal.TransfersPerRequest)
+	}
+}
+
+// TestMigrationEnergyFollowsTech pins PL's migration charge to the
+// run's technology: each page move reads the page from one chip and
+// writes it to another at the full chip rate, both chips in the
+// model's operating state, so the migration category is MigratedPages
+// x 2 x P_active x the page's service time. The setup is PL over
+// 100 ms of OLTP-St with the storage seed the experiment suite derives
+// from suite seed 1, which moves pages on every technology.
+func TestMigrationEnergyFollowsTech(t *testing.T) {
+	sc := server.DefaultStorage()
+	sc.Duration = 100 * sim.Millisecond
+	sc.Seed = 1 + 7
+	st, err := server.GenerateStorage(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := layout.DefaultConfig()
+	for _, tech := range []string{"rdram", "ddr4-2400", "lpddr4"} {
+		res, err := RunContext(context.Background(), Config{PL: &pl, Tech: tech}, st.Trace)
+		if err != nil {
+			t.Fatalf("%s: %v", tech, err)
+		}
+		if res.MigratedPages == 0 {
+			t.Fatalf("%s: PL moved no pages", tech)
+		}
+		m, err := energy.Lookup(tech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		geo := memsys.Default()
+		geo.ChipBandwidth = m.Bandwidth
+		perMove := 2 * m.Power(energy.Active) * geo.ServiceTime(int64(geo.PageBytes)).Seconds()
+		want := float64(res.MigratedPages) * perMove
+		if got := res.Report.Energy[energy.CatMigration]; math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%s: migration energy %.6g J for %d pages (%.3g J each), want %.6g J (%.3g J each)",
+				tech, got, res.MigratedPages, got/float64(res.MigratedPages), want, perMove)
+		}
 	}
 }

@@ -2,55 +2,55 @@ package energy
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"dmamem/internal/sim"
 )
 
-// TestTable1Constants pins the model to the exact numbers of the
-// paper's Table 1.
+// TestTable1Constants pins the registry's rdram model, whole and
+// literally, to the paper's Table 1: resident powers, every transition
+// row (demotions charge the Active->target row, wakes the "+ns"
+// resynchronization), the micro-nap state and the default demotion
+// chain.
 func TestTable1Constants(t *testing.T) {
-	cases := []struct {
-		name string
-		got  float64
-		want float64
-	}{
-		{"active power", StatePower(Active), 0.300},
-		{"standby power", StatePower(Standby), 0.180},
-		{"nap power", StatePower(Nap), 0.030},
-		{"powerdown power", StatePower(Powerdown), 0.003},
-		{"active->standby power", ActiveToStandby.Power, 0.240},
-		{"active->nap power", ActiveToNap.Power, 0.160},
-		{"active->powerdown power", ActiveToPowerdown.Power, 0.015},
-		{"standby->active power", StandbyToActive.Power, 0.240},
-		{"nap->active power", NapToActive.Power, 0.160},
-		{"powerdown->active power", PowerdownToActive.Power, 0.015},
-	}
-	for _, c := range cases {
-		if c.got != c.want {
-			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
-		}
-	}
-	timeCases := []struct {
-		name string
-		got  sim.Duration
-		want sim.Duration
-	}{
-		{"active->standby time", ActiveToStandby.Time, 1 * MemoryCycle},
-		{"active->nap time", ActiveToNap.Time, 8 * MemoryCycle},
-		{"active->powerdown time", ActiveToPowerdown.Time, 8 * MemoryCycle},
-		{"standby->active time", StandbyToActive.Time, 6 * sim.Nanosecond},
-		{"nap->active time", NapToActive.Time, 60 * sim.Nanosecond},
-		{"powerdown->active time", PowerdownToActive.Time, 6000 * sim.Nanosecond},
-	}
-	for _, c := range timeCases {
-		if c.got != c.want {
-			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
-		}
-	}
 	if MemoryCycle != 625*sim.Picosecond {
 		t.Errorf("MemoryCycle = %v, want 625ps (1600 MHz)", MemoryCycle)
+	}
+	var (
+		toStandby   = Transition{Power: 0.240, Time: 625 * sim.Picosecond}
+		toNap       = Transition{Power: 0.160, Time: 5 * sim.Nanosecond}
+		toPowerdown = Transition{Power: 0.015, Time: 5 * sim.Nanosecond}
+		fromStandby = Transition{Power: 0.240, Time: 6 * sim.Nanosecond}
+		fromNap     = Transition{Power: 0.160, Time: 60 * sim.Nanosecond}
+		fromPowerdn = Transition{Power: 0.015, Time: 6000 * sim.Nanosecond}
+	)
+	want := &Model{
+		Name:      "rdram-1600",
+		CycleTime: 625 * sim.Picosecond,
+		Bandwidth: 3.2e9,
+		States: []StateSpec{
+			{Name: "active", Power: 0.300},
+			{Name: "standby", Power: 0.180},
+			{Name: "nap", Power: 0.030},
+			{Name: "powerdown", Power: 0.003},
+		},
+		Trans: [][]Transition{
+			{{}, toStandby, toNap, toPowerdown},
+			{fromStandby, {}, toNap, toPowerdown},
+			{fromNap, {}, {}, toPowerdown},
+			{fromPowerdn, {}, {}, {}},
+		},
+		MicroNap:   Nap,
+		Thresholds: []sim.Duration{10 * sim.Nanosecond, 100 * sim.Nanosecond, 2 * sim.Microsecond},
+	}
+	got, err := Lookup("rdram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rdram model differs from Table 1:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -66,28 +66,50 @@ func TestStateString(t *testing.T) {
 	}
 }
 
+// rdram returns a fresh instance of the paper's Table 1 model.
+func rdram(t testing.TB) *Model {
+	t.Helper()
+	m, err := Lookup("rdram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestPowerOrdering(t *testing.T) {
+	m := rdram(t)
 	// Deeper states must draw strictly less power.
-	if !(StatePower(Active) > StatePower(Standby) &&
-		StatePower(Standby) > StatePower(Nap) &&
-		StatePower(Nap) > StatePower(Powerdown)) {
+	if !(m.Power(Active) > m.Power(Standby) &&
+		m.Power(Standby) > m.Power(Nap) &&
+		m.Power(Nap) > m.Power(Powerdown)) {
 		t.Fatal("power ordering violated")
 	}
 	// Deeper states must take strictly longer to wake.
-	if !(WakeLatency(Standby) < WakeLatency(Nap) &&
-		WakeLatency(Nap) < WakeLatency(Powerdown)) {
+	if !(m.WakeLatencyOf(Standby) < m.WakeLatencyOf(Nap) &&
+		m.WakeLatencyOf(Nap) < m.WakeLatencyOf(Powerdown)) {
 		t.Fatal("wake latency ordering violated")
 	}
-	if WakeLatency(Active) != 0 {
+	if m.WakeLatencyOf(Active) != 0 {
 		t.Fatal("active should have zero wake latency")
 	}
 }
 
+// TestTransitionPanics pins the panics for states past a model's
+// deepest one, including RDRAM's Powerdown index on the 3-state LPDDR4
+// machine.
 func TestTransitionPanics(t *testing.T) {
+	m := rdram(t)
+	lp, err := Lookup("lpddr4")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, f := range []func(){
-		func() { DownTransition(Active) },
-		func() { UpTransition(Active) },
-		func() { StatePower(State(42)) },
+		func() { m.DownTo(numStates) },
+		func() { m.UpFrom(numStates) },
+		func() { m.WakeLatencyOf(numStates) },
+		func() { lp.DownTo(Powerdown) },
+		func() { lp.UpFrom(Powerdown) },
+		func() { lp.BreakEvenOf(Powerdown) },
 	} {
 		func() {
 			defer func() {
@@ -161,16 +183,17 @@ func TestBreakdownAddAndFraction(t *testing.T) {
 }
 
 func TestBreakEvenSanity(t *testing.T) {
+	m := rdram(t)
 	// Break-even times must grow with state depth and always cover the
 	// round-trip transition latency.
-	beS, beN, beP := BreakEven(Standby), BreakEven(Nap), BreakEven(Powerdown)
+	beS, beN, beP := m.BreakEvenOf(Standby), m.BreakEvenOf(Nap), m.BreakEvenOf(Powerdown)
 	if !(beS < beN && beN < beP) {
 		t.Fatalf("break-even ordering: standby=%v nap=%v powerdown=%v", beS, beN, beP)
 	}
-	if beS < ActiveToStandby.Time+StandbyToActive.Time {
+	if beS < m.DownTo(Standby).Time+m.UpFrom(Standby).Time {
 		t.Fatalf("standby break-even %v below transit time", beS)
 	}
-	if BreakEven(Active) != 0 {
+	if m.BreakEvenOf(Active) != 0 {
 		t.Fatal("active break-even should be 0")
 	}
 	// The paper notes the best active->low-power thresholds are around
@@ -181,20 +204,30 @@ func TestBreakEvenSanity(t *testing.T) {
 	}
 }
 
-// Property: sleeping for exactly the break-even gap never costs more
-// than idling in Active, and when the break-even exceeds the transit
-// round trip the two costs are equal (the true crossover); otherwise
-// the break-even is clamped to the transit time.
+// Property: for every registered model, sleeping for exactly the
+// break-even gap never costs more than idling in the operating state,
+// and when the break-even exceeds the transit round trip the two costs
+// are equal (the true crossover); otherwise the break-even is clamped
+// to the transit time.
 func TestQuickBreakEvenIndifference(t *testing.T) {
-	f := func(pick uint8) bool {
-		s := State(1 + pick%3) // standby, nap, powerdown
-		be := BreakEven(s)
-		idleJ := ActivePower * be.Seconds()
-		down, up := DownTransition(s), UpTransition(s)
+	var models []*Model
+	for _, name := range Techs() {
+		m, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, m)
+	}
+	f := func(pickModel, pickState uint8) bool {
+		m := models[int(pickModel)%len(models)]
+		s := State(1 + int(pickState)%(m.NumStates()-1))
+		be := m.BreakEvenOf(s)
+		idleJ := m.Power(Active) * be.Seconds()
+		down, up := m.DownTo(s), m.UpFrom(s)
 		transit := down.Time + up.Time
 		resid := be - transit
 		sleepJ := down.Power*down.Time.Seconds() +
-			StatePower(s)*resid.Seconds() +
+			m.Power(s)*resid.Seconds() +
 			up.Power*up.Time.Seconds()
 		if sleepJ > idleJ+1e-12 {
 			return false // sleeping at break-even must not lose energy

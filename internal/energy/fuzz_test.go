@@ -50,7 +50,7 @@ func FuzzModelValidate(f *testing.F) {
 			p *= decay
 		}
 		// down/up are indexed like States, entry 0 unused (ChainModel's
-		// contract, mirroring the legacy Spec arrays).
+		// contract).
 		down := make([]Transition, n)
 		up := make([]Transition, n)
 		thresholds := make([]sim.Duration, n-1)

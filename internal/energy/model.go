@@ -22,15 +22,16 @@ type StateSpec struct {
 }
 
 // Model is a pluggable DRAM power-state machine: the backend interface
-// behind `Simulation.MemoryTech`. Unlike the fixed 4-state Spec it
-// supports technologies with any number of states — DDR4's five-deep
-// active-power-down / precharge-power-down / self-refresh /
-// maximum-power-saving chain as well as LPDDR4's three-state machine —
-// each with its own transition costs and default demotion thresholds.
+// behind `Simulation.MemoryTech`, and the only power table the
+// simulator reads. It supports technologies with any number of states
+// — RDRAM's four, DDR4's five-deep active-power-down /
+// precharge-power-down / self-refresh / maximum-power-saving chain,
+// LPDDR4's three-state machine — each with its own transition costs
+// and default demotion thresholds.
 //
 // Calibrated instances ship through the registry (Register / Lookup /
 // Techs); the zero-configuration path resolves to the paper's RDRAM
-// Table 1 model and is bit-identical to the legacy Spec arithmetic.
+// Table 1 model.
 type Model struct {
 	// Name of the part this model was calibrated against
 	// ("rdram-1600", "ddr4-2400", ...).
@@ -56,7 +57,7 @@ type Model struct {
 	// Thresholds is the model's default demotion chain: Thresholds[i]
 	// is the idle time after which a chip in state i is demoted to
 	// state i+1, so len(Thresholds) == len(States)-1. Policies may
-	// override it; the default Dynamic policy uses it as-is.
+	// override it; the default policy (policy.ChainFor) uses it as-is.
 	Thresholds []sim.Duration
 }
 
@@ -67,7 +68,7 @@ func (m *Model) NumStates() int { return len(m.States) }
 func (m *Model) Deepest() State { return State(len(m.States) - 1) }
 
 // StateName returns the name of state s, or "State(n)" when out of
-// range (mirrors State.String for the legacy enum).
+// range (mirrors State.String).
 func (m *Model) StateName(s State) string {
 	if int(s) < len(m.States) {
 		return m.States[s].Name
@@ -114,7 +115,7 @@ func (m *Model) TransitionFor(from, to State) Transition {
 }
 
 // DownTo returns the transition entering low-power state s from the
-// operating state (the legacy Spec.DownTo row).
+// operating state.
 func (m *Model) DownTo(s State) Transition {
 	if s == Active || int(s) >= len(m.States) {
 		panic("energy: model " + m.Name + " has no down transition to " + s.String())
@@ -140,13 +141,19 @@ func (m *Model) WakeLatencyOf(s State) sim.Duration {
 }
 
 // BreakEvenOf returns the minimum idle period for which entering state
-// s from the operating state saves energy under this model. The
-// arithmetic is identical to the legacy Spec.BreakEvenOf.
+// s from the operating state saves energy under this model, accounting
+// for the down transition, residence, and the wake transition. Idle
+// periods shorter than this are cheaper spent idling in the operating
+// state; it is the quantity classic dynamic policies pick thresholds
+// from, and it is never below the transition round trip.
 func (m *Model) BreakEvenOf(s State) sim.Duration {
 	if s == Active {
 		return 0
 	}
 	down, up := m.DownTo(s), m.UpFrom(s)
+	// Solve P_active*t = down.E + P_s*(t - down.T - up.T) + up.E for
+	// the idle gap t (the device must be back in the operating state
+	// by the end of the gap).
 	overheadJ := down.Power*down.Time.Seconds() + up.Power*up.Time.Seconds()
 	resid := m.Power(s)
 	num := overheadJ - resid*(down.Time.Seconds()+up.Time.Seconds())
@@ -239,11 +246,11 @@ func (m *Model) Validate() error {
 	return nil
 }
 
-// ChainModel assembles a Model with the legacy chain semantics the
-// 4-state Spec used: demoting from any state into a deeper state j
-// costs the operating-state entry down[j] (the dominant term is the
-// resynchronization on the way back up), and waking from state i costs
-// up[i]. down and up are indexed like States, with entry 0 unused.
+// ChainModel assembles a Model with chain semantics: demoting from any
+// state into a deeper state j costs the operating-state entry down[j]
+// (the dominant term is the resynchronization on the way back up), and
+// waking from state i costs up[i]. down and up are indexed like
+// States, with entry 0 unused.
 func ChainModel(name string, cycle sim.Duration, bandwidth float64, states []StateSpec, down, up []Transition, microNap State, thresholds []sim.Duration) *Model {
 	n := len(states)
 	trans := make([][]Transition, n)

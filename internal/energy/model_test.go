@@ -9,63 +9,17 @@ import (
 	"dmamem/internal/sim"
 )
 
-// TestSpecModelMatchesLegacyArithmetic holds the Spec→Model conversion
-// to bit-identity: every float the simulator reads from the model —
-// resident powers, transition rows, wake latencies, break-even
-// horizons — must equal the legacy Spec accessor for both calibrated
-// specs, with no tolerance.
-func TestSpecModelMatchesLegacyArithmetic(t *testing.T) {
-	for _, spec := range []*Spec{RDRAM1600(), DDR400()} {
-		m := spec.Model()
-		if err := m.Validate(); err != nil {
-			t.Fatalf("%s: converted model invalid: %v", spec.Name, err)
-		}
-		if m.Name != spec.Name || m.CycleTime != spec.CycleTime || m.Bandwidth != spec.Bandwidth {
-			t.Fatalf("%s: identity fields drifted: %+v", spec.Name, m)
-		}
-		if m.NumStates() != 4 || m.Deepest() != Powerdown || m.MicroNap != Nap {
-			t.Fatalf("%s: state machine shape drifted", spec.Name)
-		}
-		for s := Active; s <= Powerdown; s++ {
-			if m.Power(s) != spec.Power(s) {
-				t.Errorf("%s: Power(%v) %g != %g", spec.Name, s, m.Power(s), spec.Power(s))
-			}
-			if m.WakeLatencyOf(s) != spec.WakeLatencyOf(s) {
-				t.Errorf("%s: WakeLatencyOf(%v) drifted", spec.Name, s)
-			}
-			if m.BreakEvenOf(s) != spec.BreakEvenOf(s) {
-				t.Errorf("%s: BreakEvenOf(%v) %v != %v", spec.Name, s, m.BreakEvenOf(s), spec.BreakEvenOf(s))
-			}
-			if s == Active {
-				continue
-			}
-			if m.DownTo(s) != spec.DownTo(s) {
-				t.Errorf("%s: DownTo(%v) drifted", spec.Name, s)
-			}
-			if m.UpFrom(s) != spec.UpFrom(s) {
-				t.Errorf("%s: UpFrom(%v) drifted", spec.Name, s)
-			}
-			// The chain semantics: demoting from any shallower state
-			// into s charges the same entry as demoting from active.
-			for from := Active; from < s; from++ {
-				if m.TransitionFor(from, s) != spec.DownTo(s) {
-					t.Errorf("%s: TransitionFor(%v,%v) != DownTo(%v)", spec.Name, from, s, s)
-				}
-			}
-		}
-	}
-}
-
-// TestRegistryRDRAMIsSpecModel pins the registry default to the exact
-// converted legacy spec, which is what makes the zero-value public API
-// bit-identical to the pre-registry simulator.
-func TestRegistryRDRAMIsSpecModel(t *testing.T) {
+// TestRegistryDefaultIsRDRAM pins what the empty technology name and
+// the rdram aliases resolve to: the paper's Table 1 model (itself
+// pinned literally by TestTable1Constants), which is what makes the
+// zero-value public API reproduce the paper's machine.
+func TestRegistryDefaultIsRDRAM(t *testing.T) {
 	m, err := Lookup("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m, RDRAM1600().Model()) {
-		t.Fatalf("default lookup differs from the converted RDRAM spec:\n%+v", m)
+	if !reflect.DeepEqual(m, rdram(t)) {
+		t.Fatalf("default lookup differs from the rdram model:\n%+v", m)
 	}
 	for _, name := range []string{"rdram", " RDRAM ", "rdram-1600"} {
 		got, err := Lookup(name)
@@ -83,6 +37,49 @@ func TestRegistryRDRAMIsSpecModel(t *testing.T) {
 	b, _ := Lookup("rdram")
 	if b.States[0].Power == 99 {
 		t.Fatal("Lookup hands out shared model instances")
+	}
+}
+
+// TestDDR400Constants pins the registry's ddr400 model, whole and
+// literally: a DDR400-class part with RDRAM's state names and
+// demotion chain, slower than RDRAM (2.1 vs 3.2 GB/s) and with a
+// self-refresh exit of 1 us against RDRAM's 6 us powerdown exit.
+func TestDDR400Constants(t *testing.T) {
+	var (
+		toStandby   = Transition{Power: 0.300, Time: 5 * sim.Nanosecond}
+		toNap       = Transition{Power: 0.110, Time: 10 * sim.Nanosecond}
+		toPowerdown = Transition{Power: 0.025, Time: 10 * sim.Nanosecond}
+		fromStandby = Transition{Power: 0.300, Time: 10 * sim.Nanosecond}
+		fromNap     = Transition{Power: 0.110, Time: 30 * sim.Nanosecond}
+		fromPowerdn = Transition{Power: 0.025, Time: 1000 * sim.Nanosecond}
+	)
+	want := &Model{
+		Name:      "ddr-400",
+		CycleTime: 5 * sim.Nanosecond,
+		Bandwidth: 2.1e9,
+		States: []StateSpec{
+			{Name: "active", Power: 0.460},
+			{Name: "standby", Power: 0.180},
+			{Name: "nap", Power: 0.045},
+			{Name: "powerdown", Power: 0.013},
+		},
+		Trans: [][]Transition{
+			{{}, toStandby, toNap, toPowerdown},
+			{fromStandby, {}, toNap, toPowerdown},
+			{fromNap, {}, {}, toPowerdown},
+			{fromPowerdn, {}, {}, {}},
+		},
+		MicroNap:   Nap,
+		Thresholds: []sim.Duration{10 * sim.Nanosecond, 100 * sim.Nanosecond, 2 * sim.Microsecond},
+	}
+	for _, name := range []string{"ddr400", "ddr"} {
+		got, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Lookup(%q) differs from the DDR400 table:\n got %+v\nwant %+v", name, got, want)
+		}
 	}
 }
 
@@ -204,7 +201,7 @@ func TestStateIndexAndNames(t *testing.T) {
 // TestModelValidateRejections covers the rejection paths one by one,
 // so a loosened check fails here and not in a downstream simulation.
 func TestModelValidateRejections(t *testing.T) {
-	valid := func() *Model { return RDRAM1600().Model() }
+	valid := func() *Model { return rdram(t) }
 	cases := []struct {
 		name string
 		mut  func(*Model)
@@ -267,7 +264,7 @@ func TestRegisterGuards(t *testing.T) {
 // on to catch controller bugs immediately rather than silently reading
 // a zero transition.
 func TestModelAccessorPanics(t *testing.T) {
-	m := RDRAM1600().Model()
+	m := rdram(t)
 	mustPanic := func(name string, f func()) {
 		defer func() {
 			if recover() == nil {

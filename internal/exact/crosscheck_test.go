@@ -20,6 +20,15 @@ import (
 	"dmamem/internal/synth"
 )
 
+// rdram is the paper's Table 1 machine, the registry default.
+var rdram = func() *energy.Model {
+	m, err := energy.Lookup("rdram")
+	if err != nil {
+		panic(err)
+	}
+	return m
+}()
+
 // runFluid executes the same scenario on the production controller.
 func runFluid(t testing.TB, xs []Transfer) (map[int]sim.Time, *memsys.Chip, *controller.Controller) {
 	t.Helper()
@@ -27,7 +36,7 @@ func runFluid(t testing.TB, xs []Transfer) (map[int]sim.Time, *memsys.Chip, *con
 	cfg := controller.Config{
 		Geometry:     memsys.Default(),
 		Buses:        bus.DefaultConfig(),
-		Policy:       policy.NewDynamic(),
+		Policy:       policy.ChainFor(rdram),
 		Mapper:       memsys.SequentialMapper{PagesPerChip: memsys.Default().PagesPerChip()},
 		InitialState: energy.Powerdown,
 	}
@@ -86,7 +95,7 @@ func TestCrossCheckAggregates(t *testing.T) {
 		cfg := controller.Config{
 			Geometry:     memsys.Default(),
 			Buses:        bus.DefaultConfig(),
-			Policy:       policy.NewDynamic(),
+			Policy:       policy.ChainFor(rdram),
 			Mapper:       memsys.SequentialMapper{PagesPerChip: memsys.Default().PagesPerChip()},
 			InitialState: energy.Powerdown,
 		}

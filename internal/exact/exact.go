@@ -42,8 +42,10 @@ type Config struct {
 	// bus for this many beats before round-robin moves on (PCI-X
 	// masters burst hundreds of bytes per grant). 64 beats = 512 B.
 	BurstBeats int
-	Policy     policy.Policy
-	Mapper     memsys.Mapper
+	// Policy is the chips' power manager; nil means the dynamic chain
+	// of the registry's default technology (policy.ChainFor).
+	Policy policy.Policy
+	Mapper memsys.Mapper
 }
 
 // DefaultConfig returns the paper's hardware at request granularity.
@@ -53,7 +55,6 @@ func DefaultConfig() Config {
 		Buses:      3,
 		BeatGap:    7500 * sim.Picosecond,
 		BurstBeats: 64,
-		Policy:     policy.NewDynamic(),
 	}
 }
 
@@ -130,8 +131,14 @@ func Run(cfg Config, transfers []Transfer) (*Result, error) {
 	if cfg.BurstBeats <= 0 {
 		cfg.BurstBeats = 1
 	}
+	// The chips run on the registry's default technology, the paper's
+	// RDRAM part.
+	model, err := energy.Lookup(energy.DefaultTech)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Policy == nil {
-		cfg.Policy = policy.NewDynamic()
+		cfg.Policy = policy.ChainFor(model)
 	}
 	mapper := cfg.Mapper
 	if mapper == nil {
@@ -144,7 +151,7 @@ func Run(cfg Config, transfers []Transfer) (*Result, error) {
 	chips := make([]*chip, cfg.Geometry.NumChips)
 	for i := range chips {
 		chips[i] = &chip{
-			c:          memsys.NewChip(i, energy.Powerdown, 0),
+			c:          memsys.NewChip(i, energy.Powerdown, 0, model),
 			inProgress: make(map[*xfer]struct{}),
 		}
 	}

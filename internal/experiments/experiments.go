@@ -163,30 +163,36 @@ func plConfig(groups int) *layout.Config {
 	return &cfg
 }
 
-// Table1 renders the power model constants (a transcription check of
-// the paper's Table 1; powers in watts, rendered as milliwatts).
+// Table1 renders the registry's rdram model as the paper's Table 1
+// (powers in watts, rendered as milliwatts; demotions in memory
+// cycles, wakes as "+ns" resynchronization delays).
 func Table1() string {
+	m, err := energy.Lookup("rdram")
+	if err != nil {
+		panic(err) // rdram is registered at init
+	}
 	var b strings.Builder
+	row := func(name string, power float64, t string) {
+		fmt.Fprintf(&b, "%-22s %6.0fmW %14s\n", name, 1e3*power, t)
+	}
 	fmt.Fprintf(&b, "Table 1: RDRAM power model\n")
 	fmt.Fprintf(&b, "%-22s %8s %14s\n", "state/transition", "power", "time")
-	rows := []struct {
-		name  string
-		power float64
-		t     string
-	}{
-		{"active", energy.ActivePower, "-"},
-		{"standby", energy.StandbyPower, "-"},
-		{"nap", energy.NapPower, "-"},
-		{"powerdown", energy.PowerdownPower, "-"},
-		{"active->standby", energy.ActiveToStandby.Power, "1 memory cycle"},
-		{"active->nap", energy.ActiveToNap.Power, "8 memory cycles"},
-		{"active->powerdown", energy.ActiveToPowerdown.Power, "8 memory cycles"},
-		{"standby->active", energy.StandbyToActive.Power, "+6 ns"},
-		{"nap->active", energy.NapToActive.Power, "+60 ns"},
-		{"powerdown->active", energy.PowerdownToActive.Power, "+6000 ns"},
+	for _, st := range m.States {
+		row(st.Name, st.Power, "-")
 	}
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-22s %6.0fmW %14s\n", r.name, 1e3*r.power, r.t)
+	active := m.StateName(energy.Active)
+	for s := energy.Standby; s <= m.Deepest(); s++ {
+		down := m.DownTo(s)
+		cycles := int64(down.Time / m.CycleTime)
+		unit := "memory cycles"
+		if cycles == 1 {
+			unit = "memory cycle"
+		}
+		row(active+"->"+m.StateName(s), down.Power, fmt.Sprintf("%d %s", cycles, unit))
+	}
+	for s := energy.Standby; s <= m.Deepest(); s++ {
+		up := m.UpFrom(s)
+		row(m.StateName(s)+"->"+active, up.Power, fmt.Sprintf("+%d ns", int64(up.Time/sim.Nanosecond)))
 	}
 	return b.String()
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dmamem/internal/energy"
 	"dmamem/internal/layout"
 	"dmamem/internal/memsys"
 	"dmamem/internal/sim"
@@ -63,7 +64,11 @@ func hotSetCoverage(t *testing.T, path string) (cov float64, hotChips, distinct 
 
 	geo := memsys.Default()
 	cfg := layout.DefaultConfig()
-	lm, err := layout.New(geo, cfg)
+	rdram, err := energy.Lookup("rdram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm, err := layout.New(geo, cfg, rdram)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,18 +7,35 @@ import (
 	"dmamem/internal/memsys"
 )
 
+// fullOrder is the reference ordering step: it sorts every page by
+// popularity (ties by page ID) and returns the prefix with nonzero
+// counts, ignoring the gathered live set. The zero-count tail it
+// discards is reconstructed on demand by coldScan, which is how both
+// orderings share one executeMoves.
+func fullOrder(m *Manager, _ []int32) []int32 {
+	order := make([]int32, len(m.counts))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sortByPopularity(order, m.counts)
+	n := len(order)
+	for n > 0 && m.counts[order[n-1]] == 0 {
+		n--
+	}
+	return order[:n]
+}
+
 // driveBoth runs the same Observe/Rebalance schedule through an
-// adaptive manager and a FullScan reference manager and fails on the
-// first divergence in moves, placement, counters, or group maps.
+// adaptive manager and a full-scan reference manager (every rebalance
+// ordered by fullOrder) and fails on the first divergence in moves,
+// placement, counters, or group maps.
 func driveBoth(t *testing.T, cfg Config, geo memsys.Geometry, seed int64, epochs int, withBusy bool) {
 	t.Helper()
-	adaptive, err := New(geo, cfg)
+	adaptive, err := New(geo, cfg, rdram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := cfg
-	ref.FullScan = true
-	full, err := New(geo, ref)
+	full, err := New(geo, cfg, rdram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +65,7 @@ func driveBoth(t *testing.T, cfg Config, geo memsys.Geometry, seed int64, epochs
 			busy = func(p memsys.PageID) bool { return (int(p)+e)%7 == 0 }
 		}
 		ma := adaptive.Rebalance(busy)
-		mf := full.Rebalance(busy)
+		mf := full.rebalance(busy, fullOrder)
 		if ma != mf {
 			t.Fatalf("epoch %d: adaptive moved %d pages, full scan %d", epoch, ma, mf)
 		}
@@ -115,7 +132,7 @@ func TestAdaptiveMatchesFullScan(t *testing.T) {
 // traffic confined to pages of a few chips, rebalances stop reading
 // the untouched chips at all.
 func TestAdaptiveSkipsCleanChips(t *testing.T) {
-	m, err := New(smallGeo(), DefaultConfig())
+	m, err := New(smallGeo(), DefaultConfig(), rdram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +160,7 @@ func TestAdaptiveSkipsCleanChips(t *testing.T) {
 // TestObserveDoesNotAllocate guards the hot-path contract: tracking a
 // page in the live set must stay within the preallocated lists.
 func TestObserveDoesNotAllocate(t *testing.T) {
-	m, err := New(smallGeo(), DefaultConfig())
+	m, err := New(smallGeo(), DefaultConfig(), rdram)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,12 +48,6 @@ type Config struct {
 	// MinHotCount is the popularity floor: pages with fewer aged
 	// references never qualify for a hot group. Zero means 1.
 	MinHotCount uint32
-	// FullScan forces the original full-page reference scan at every
-	// rebalance instead of the adaptive dirty-set scan that sorts only
-	// pages with live counts and skips clean chips. The two paths make
-	// identical move decisions (the cross-check test holds them to it);
-	// FullScan is the O(pages log pages) reference implementation.
-	FullScan bool
 }
 
 // DefaultConfig returns the paper's defaults.
@@ -82,6 +76,10 @@ func (c Config) Validate() error {
 type Manager struct {
 	geo memsys.Geometry
 	cfg Config
+	// moveJ is the energy of one page migration: the page is read from
+	// its source chip and written to its destination at the full chip
+	// rate, both chips in the model's operating state.
+	moveJ float64
 
 	loc    []uint16 // page -> chip
 	counts []uint32 // aged DMA reference count per page
@@ -119,8 +117,9 @@ type Manager struct {
 	ScannedChips int64
 }
 
-// New returns a manager with the interleaved baseline layout.
-func New(geo memsys.Geometry, cfg Config) (*Manager, error) {
+// New returns a manager with the interleaved baseline layout, charging
+// migrations at the active power of the run's technology model.
+func New(geo memsys.Geometry, cfg Config, model *energy.Model) (*Manager, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
@@ -136,6 +135,7 @@ func New(geo memsys.Geometry, cfg Config) (*Manager, error) {
 	m := &Manager{
 		geo:         geo,
 		cfg:         cfg,
+		moveJ:       2 * model.Power(energy.Active) * geo.ServiceTime(int64(geo.PageBytes)).Seconds(),
 		loc:         make([]uint16, geo.TotalPages()),
 		counts:      make([]uint32, geo.TotalPages()),
 		groupOfChip: make([]int, geo.NumChips),
@@ -254,24 +254,6 @@ func (m *Manager) rebuildLive(liveOrder []int32) {
 	}
 }
 
-// fullOrder sorts every page by popularity (ties by page ID) and
-// returns the prefix with nonzero counts — the reference scan the
-// adaptive path is checked against. The zero-count tail it discards is
-// reconstructed on demand by coldScan, which is how both paths share
-// one executeMoves.
-func (m *Manager) fullOrder() []int32 {
-	order := make([]int32, len(m.counts))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sortByPopularity(order, m.counts)
-	n := len(order)
-	for n > 0 && m.counts[order[n-1]] == 0 {
-		n--
-	}
-	return order[:n]
-}
-
 // sortByPopularity orders pages by count descending, page ID
 // ascending — the total order every layout decision derives from.
 func sortByPopularity(pages []int32, counts []uint32) {
@@ -289,14 +271,28 @@ func sortByPopularity(pages []int32, counts []uint32) {
 // (in-flight DMA targets). It returns the number of pages moved and
 // then ages the counters.
 //
-// By default only the live set — pages referenced recently enough to
-// hold a nonzero aged count — is gathered and sorted, and chips with
-// no live page are skipped entirely. Pages outside the live set can
-// neither enter the hot region (the popularity floor is at least 1)
-// nor sort anywhere but the tail of the reference order, so the
-// decisions are identical to Config.FullScan's full sort; the
-// cross-check test compares the two move for move.
+// Only the live set — pages referenced recently enough to hold a
+// nonzero aged count — is gathered and sorted, and chips with no live
+// page are skipped entirely. Pages outside the live set can neither
+// enter the hot region (the popularity floor is at least 1) nor sort
+// anywhere but the tail of the reference order, so the decisions are
+// identical to sorting every page; the package tests compare the two
+// move for move.
 func (m *Manager) Rebalance(busy func(memsys.PageID) bool) int {
+	return m.rebalance(busy, sortLive)
+}
+
+// sortLive is Rebalance's ordering step: the live set in popularity
+// order.
+func sortLive(m *Manager, live []int32) []int32 {
+	sortByPopularity(live, m.counts)
+	return live
+}
+
+// rebalance is Rebalance with the ordering step as a parameter: order
+// receives the gathered live set and returns the pages with nonzero
+// counts, hottest first.
+func (m *Manager) rebalance(busy func(memsys.PageID) bool, order func(*Manager, []int32) []int32) int {
 	m.Rebalances++
 	liveOrder := m.gatherLive()
 	total := uint64(0)
@@ -306,11 +302,7 @@ func (m *Manager) Rebalance(busy func(memsys.PageID) bool) int {
 	if total == 0 {
 		return 0
 	}
-	if m.cfg.FullScan {
-		liveOrder = m.fullOrder()
-	} else {
-		sortByPopularity(liveOrder, m.counts)
-	}
+	liveOrder = order(m, liveOrder)
 
 	// Size the hot region: smallest prefix of pages covering HotShare
 	// of the requests. Pages below the popularity floor never qualify:
@@ -572,8 +564,6 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 
 	// Execute: pair each live enterer of g with a slot freed by a live
 	// leaver of g.
-	copyTime := m.geo.ServiceTime(int64(m.geo.PageBytes))
-	perMoveJ := 2 * energy.ActivePower * copyTime.Seconds()
 	moves := 0
 	for g := 0; g < k; g++ {
 		slots := freed[g]
@@ -588,7 +578,7 @@ func (m *Manager) executeMoves(groupOfChip []int, target []int8, liveOrder []int
 			m.loc[p] = slots[si]
 			si++
 			moves++
-			m.MigrationEnergyJ += perMoveJ
+			m.MigrationEnergyJ += m.moveJ
 		}
 	}
 	for _, out := range leaving {

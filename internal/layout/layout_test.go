@@ -4,10 +4,21 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dmamem/internal/energy"
 	"dmamem/internal/memsys"
 	"dmamem/internal/sim"
 	"dmamem/internal/synth"
 )
+
+// rdram is the paper's Table 1 machine, whose active power prices
+// the migrations.
+var rdram = func() *energy.Model {
+	m, err := energy.Lookup("rdram")
+	if err != nil {
+		panic(err)
+	}
+	return m
+}()
 
 // smallGeo: 8 chips x 16 pages = 128 pages, fast to exercise.
 func smallGeo() memsys.Geometry {
@@ -33,7 +44,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNewStartsInterleaved(t *testing.T) {
-	m, err := New(smallGeo(), DefaultConfig())
+	m, err := New(smallGeo(), DefaultConfig(), rdram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,18 +66,18 @@ func TestNewStartsInterleaved(t *testing.T) {
 func TestNewErrors(t *testing.T) {
 	bad := smallGeo()
 	bad.NumChips = 1
-	if _, err := New(bad, DefaultConfig()); err == nil {
+	if _, err := New(bad, DefaultConfig(), rdram); err == nil {
 		t.Error("single-chip geometry accepted")
 	}
 	cfg := DefaultConfig()
 	cfg.Groups = 0
-	if _, err := New(smallGeo(), cfg); err == nil {
+	if _, err := New(smallGeo(), cfg, rdram); err == nil {
 		t.Error("bad config accepted")
 	}
 }
 
 func TestRebalanceConcentratesHotPages(t *testing.T) {
-	m, _ := New(smallGeo(), DefaultConfig())
+	m, _ := New(smallGeo(), DefaultConfig(), rdram)
 	// Pages 0..15 are hot (spread over all chips by interleaving);
 	// they receive 90% of accesses.
 	for p := 0; p < 16; p++ {
@@ -107,7 +118,7 @@ func TestRebalanceConcentratesHotPages(t *testing.T) {
 }
 
 func TestRebalanceStableSecondPass(t *testing.T) {
-	m, _ := New(smallGeo(), DefaultConfig())
+	m, _ := New(smallGeo(), DefaultConfig(), rdram)
 	observe := func() {
 		for p := 0; p < 16; p++ {
 			for i := 0; i < 90; i++ {
@@ -128,14 +139,14 @@ func TestRebalanceStableSecondPass(t *testing.T) {
 }
 
 func TestRebalanceNoTraffic(t *testing.T) {
-	m, _ := New(smallGeo(), DefaultConfig())
+	m, _ := New(smallGeo(), DefaultConfig(), rdram)
 	if moves := m.Rebalance(nil); moves != 0 {
 		t.Fatalf("rebalance with no traffic moved %d pages", moves)
 	}
 }
 
 func TestRebalanceBusyPagesSkipped(t *testing.T) {
-	m, _ := New(smallGeo(), DefaultConfig())
+	m, _ := New(smallGeo(), DefaultConfig(), rdram)
 	for p := 0; p < 16; p++ {
 		for i := 0; i < 90; i++ {
 			m.Observe(memsys.PageID(p))
@@ -159,7 +170,7 @@ func TestRebalanceBusyPagesSkipped(t *testing.T) {
 }
 
 func TestAging(t *testing.T) {
-	m, _ := New(smallGeo(), DefaultConfig())
+	m, _ := New(smallGeo(), DefaultConfig(), rdram)
 	for i := 0; i < 8; i++ {
 		m.Observe(0)
 	}
@@ -172,7 +183,7 @@ func TestAging(t *testing.T) {
 func TestAdaptationToWorkloadShift(t *testing.T) {
 	// Hot set moves from pages 0..15 to pages 112..127; after a few
 	// intervals the new hot set must own the hot chip.
-	m, _ := New(smallGeo(), DefaultConfig())
+	m, _ := New(smallGeo(), DefaultConfig(), rdram)
 	for p := 0; p < 16; p++ {
 		for i := 0; i < 90; i++ {
 			m.Observe(memsys.PageID(p))
@@ -202,7 +213,7 @@ func TestGroupSizesExponential(t *testing.T) {
 	geo := memsys.Geometry{NumChips: 32, ChipBytes: 16 * 8192, PageBytes: 8192, ChipBandwidth: 3.2e9}
 	cfg := DefaultConfig()
 	cfg.Groups = 4
-	m, err := New(geo, cfg)
+	m, err := New(geo, cfg, rdram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +245,7 @@ func TestMoreGroupsDiluteHotSet(t *testing.T) {
 		geo := memsys.Geometry{NumChips: 32, ChipBytes: 64 * 8192, PageBytes: 8192, ChipBandwidth: 3.2e9}
 		cfg := DefaultConfig()
 		cfg.Groups = groups
-		m, err := New(geo, cfg)
+		m, err := New(geo, cfg, rdram)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +283,7 @@ func TestMoreGroupsDiluteHotSet(t *testing.T) {
 }
 
 func TestResetCosts(t *testing.T) {
-	m, _ := New(smallGeo(), DefaultConfig())
+	m, _ := New(smallGeo(), DefaultConfig(), rdram)
 	for p := 0; p < 16; p++ {
 		for i := 0; i < 90; i++ {
 			m.Observe(memsys.PageID(p))
@@ -295,7 +306,7 @@ func TestQuickRebalanceInvariants(t *testing.T) {
 		geo := smallGeo()
 		cfg := DefaultConfig()
 		cfg.Groups = 2 + int(groups8)%4
-		m, err := New(geo, cfg)
+		m, err := New(geo, cfg, rdram)
 		if err != nil {
 			return false
 		}
@@ -327,7 +338,7 @@ func TestQuickRebalanceInvariants(t *testing.T) {
 }
 
 func TestIntervalAccessor(t *testing.T) {
-	m, _ := New(smallGeo(), DefaultConfig())
+	m, _ := New(smallGeo(), DefaultConfig(), rdram)
 	if m.Interval() != 20*sim.Millisecond {
 		t.Fatalf("interval = %v", m.Interval())
 	}

@@ -89,18 +89,10 @@ type Chip struct {
 	pendMicroNap  sim.Duration
 }
 
-// NewChip returns a chip resident in the given state at time now,
-// using the default RDRAM power model.
-func NewChip(id int, start energy.State, now sim.Time) *Chip {
-	return NewChipWithModel(id, start, now, nil)
-}
-
-// NewChipWithModel returns a chip driven by an explicit technology
-// model. The starting state must exist in the model's machine.
-func NewChipWithModel(id int, start energy.State, now sim.Time, m *energy.Model) *Chip {
-	if m == nil {
-		m = energy.RDRAM1600().Model()
-	}
+// NewChip returns a chip driven by technology model m, resident in the
+// given state at time now. The starting state must exist in the
+// model's machine.
+func NewChip(id int, start energy.State, now sim.Time, m *energy.Model) *Chip {
 	if int(start) >= m.NumStates() {
 		panic(fmt.Sprintf("memsys: chip %d starting state %d beyond the %d states of model %s",
 			id, int(start), m.NumStates(), m.Name))

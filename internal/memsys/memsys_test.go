@@ -115,12 +115,21 @@ func TestQuickMapperBalance(t *testing.T) {
 	}
 }
 
+// rdram is the paper's Table 1 machine, the chips' power table.
+var rdram = func() *energy.Model {
+	m, err := energy.Lookup("rdram")
+	if err != nil {
+		panic(err)
+	}
+	return m
+}()
+
 func approx(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))+1e-15
 }
 
 func TestChipWakeSleepAccounting(t *testing.T) {
-	c := NewChip(0, energy.Nap, 0)
+	c := NewChip(0, energy.Nap, 0, rdram)
 	// Stay in nap for 1 us, then wake.
 	ready := c.BeginWake(sim.Time(1 * sim.Microsecond))
 	if ready != sim.Time(1*sim.Microsecond+60*sim.Nanosecond) {
@@ -172,7 +181,7 @@ func TestChipWakeSleepAccounting(t *testing.T) {
 }
 
 func TestChipDeepen(t *testing.T) {
-	c := NewChip(1, energy.Standby, 0)
+	c := NewChip(1, energy.Standby, 0, rdram)
 	done := c.Deepen(energy.Nap, sim.Time(100*sim.Nanosecond))
 	c.CompleteSleep(done)
 	if c.State() != energy.Nap {
@@ -194,7 +203,7 @@ func TestChipDeepen(t *testing.T) {
 }
 
 func TestChipCloseWhileActive(t *testing.T) {
-	c := NewChip(0, energy.Powerdown, 0)
+	c := NewChip(0, energy.Powerdown, 0, rdram)
 	ready := c.BeginWake(0)
 	c.CompleteWake(ready)
 	c.Close(ready.Add(5 * sim.Microsecond))
@@ -205,7 +214,7 @@ func TestChipCloseWhileActive(t *testing.T) {
 }
 
 func TestChipCloseWhileTransitioning(t *testing.T) {
-	c := NewChip(0, energy.Powerdown, 0)
+	c := NewChip(0, energy.Powerdown, 0, rdram)
 	c.BeginWake(0)
 	// Close before the wake completes: transition energy was charged
 	// eagerly, so Close must not double-charge or panic.
@@ -222,35 +231,35 @@ func TestChipPanics(t *testing.T) {
 		f    func()
 	}{
 		{"wake while active", func() {
-			c := NewChip(0, energy.Active, 0)
+			c := NewChip(0, energy.Active, 0, rdram)
 			c.BeginWake(0)
 		}},
 		{"sleep while napping", func() {
-			c := NewChip(0, energy.Nap, 0)
+			c := NewChip(0, energy.Nap, 0, rdram)
 			c.BeginSleep(energy.Powerdown, 0)
 		}},
 		{"sleep to active", func() {
-			c := NewChip(0, energy.Active, 0)
+			c := NewChip(0, energy.Active, 0, rdram)
 			c.BeginSleep(energy.Active, 0)
 		}},
 		{"account backwards", func() {
-			c := NewChip(0, energy.Active, 100)
+			c := NewChip(0, energy.Active, 100, rdram)
 			c.AccountActive(50, 0, 0, false)
 		}},
 		{"overfull span", func() {
-			c := NewChip(0, energy.Active, 0)
+			c := NewChip(0, energy.Active, 0, rdram)
 			c.AccountActive(10, 20, 0, true)
 		}},
 		{"deepen shallower", func() {
-			c := NewChip(0, energy.Powerdown, 0)
+			c := NewChip(0, energy.Powerdown, 0, rdram)
 			c.Deepen(energy.Nap, 0)
 		}},
 		{"unaccounted sleep", func() {
-			c := NewChip(0, energy.Active, 0)
+			c := NewChip(0, energy.Active, 0, rdram)
 			c.BeginSleep(energy.Nap, 100) // active span [0,100) never accounted
 		}},
 		{"complete wake early", func() {
-			c := NewChip(0, energy.Nap, 0)
+			c := NewChip(0, energy.Nap, 0, rdram)
 			c.BeginWake(0)
 			c.CompleteWake(1)
 		}},
@@ -271,25 +280,27 @@ func TestChipPanics(t *testing.T) {
 // random walk of the state machine.
 func TestQuickChipConservation(t *testing.T) {
 	f := func(steps []uint8) bool {
-		c := NewChip(0, energy.Powerdown, 0)
+		c := NewChip(0, energy.Powerdown, 0, rdram)
 		now := sim.Time(0)
 		var want float64
 		for _, s := range steps {
 			dwell := sim.Duration(1+int(s%100)) * sim.Microsecond
 			if c.State() == energy.Powerdown {
-				want += energy.PowerdownPower * dwell.Seconds()
+				want += rdram.Power(energy.Powerdown) * dwell.Seconds()
 				now = now.Add(dwell)
 				ready := c.BeginWake(now)
-				want += energy.PowerdownToActive.Power * energy.PowerdownToActive.Time.Seconds()
+				up := rdram.UpFrom(energy.Powerdown)
+				want += up.Power * up.Time.Seconds()
 				now = ready
 				c.CompleteWake(now)
 			} else {
 				now = now.Add(dwell)
 				serving := dwell / 3
 				c.AccountActive(now, serving, 0, true)
-				want += energy.ActivePower * dwell.Seconds()
+				want += rdram.Power(energy.Active) * dwell.Seconds()
 				done := c.BeginSleep(energy.Powerdown, now)
-				want += energy.ActiveToPowerdown.Power * energy.ActiveToPowerdown.Time.Seconds()
+				down := rdram.DownTo(energy.Powerdown)
+				want += down.Power * down.Time.Seconds()
 				now = done
 				c.CompleteSleep(now)
 			}

@@ -7,9 +7,22 @@ import (
 	"dmamem/internal/sim"
 )
 
+// rdram returns the paper's Table 1 model.
+func rdram(t testing.TB) *energy.Model {
+	t.Helper()
+	m, err := energy.Lookup("rdram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestDynamicChain pins the evaluation's baseline: the rdram model's
+// default chain.
 func TestDynamicChain(t *testing.T) {
-	d := NewDynamic()
-	if err := d.Validate(); err != nil {
+	m := rdram(t)
+	d := ChainFor(m)
+	if err := d.ValidateForModel(m); err != nil {
 		t.Fatal(err)
 	}
 	wait, next, ok := d.NextStep(energy.Active)
@@ -17,11 +30,11 @@ func TestDynamicChain(t *testing.T) {
 		t.Fatalf("active step: wait=%v next=%v ok=%v", wait, next, ok)
 	}
 	wait, next, ok = d.NextStep(energy.Standby)
-	if !ok || next != energy.Nap || wait != d.NapAfter {
+	if !ok || next != energy.Nap || wait != 100*sim.Nanosecond {
 		t.Fatalf("standby step: wait=%v next=%v ok=%v", wait, next, ok)
 	}
 	wait, next, ok = d.NextStep(energy.Nap)
-	if !ok || next != energy.Powerdown || wait != d.PowerdownAfter {
+	if !ok || next != energy.Powerdown || wait != 2*sim.Microsecond {
 		t.Fatalf("nap step: wait=%v next=%v ok=%v", wait, next, ok)
 	}
 	if _, _, ok := d.NextStep(energy.Powerdown); ok {
@@ -35,7 +48,7 @@ func TestDynamicChain(t *testing.T) {
 func TestDynamicChainWalk(t *testing.T) {
 	// Walking the chain from Active must terminate in Powerdown in
 	// exactly three steps, strictly deepening.
-	d := NewDynamic()
+	d := ChainFor(rdram(t))
 	s := energy.Active
 	steps := 0
 	for {
@@ -58,9 +71,15 @@ func TestDynamicChainWalk(t *testing.T) {
 }
 
 func TestDynamicValidate(t *testing.T) {
-	bad := &Dynamic{StandbyAfter: -1}
-	if bad.Validate() == nil {
+	m := rdram(t)
+	bad := ChainFor(m)
+	bad.Thresholds[0] = -1
+	if bad.ValidateForModel(m) == nil {
 		t.Fatal("expected error for negative threshold")
+	}
+	long := &Chain{Thresholds: make([]sim.Duration, m.NumStates())}
+	if long.ValidateForModel(m) == nil {
+		t.Fatal("expected error for a chain past the deepest state")
 	}
 }
 
@@ -89,12 +108,13 @@ func TestStaticActiveMode(t *testing.T) {
 }
 
 func TestStaticValidate(t *testing.T) {
-	for m := energy.Active; m <= energy.Powerdown; m++ {
-		if err := (&Static{Mode: m}).Validate(); err != nil {
-			t.Errorf("mode %v rejected: %v", m, err)
+	m := rdram(t)
+	for mode := energy.Active; mode <= energy.Powerdown; mode++ {
+		if err := (&Static{Mode: mode}).ValidateForModel(m); err != nil {
+			t.Errorf("mode %v rejected: %v", mode, err)
 		}
 	}
-	if (&Static{Mode: energy.Powerdown + 1}).Validate() == nil {
+	if (&Static{Mode: energy.Powerdown + 1}).ValidateForModel(m) == nil {
 		t.Error("out-of-range park mode accepted")
 	}
 }
@@ -109,31 +129,23 @@ func TestAlwaysActive(t *testing.T) {
 	}
 }
 
+// TestBreakEvenDynamic holds the rdram default chain to its
+// break-even anchors: the idle wait before entering standby and nap is
+// at least that state's break-even time. (The 2 us wait before
+// powerdown sits below its 6 us break-even, which the transition round
+// trip dominates.)
 func TestBreakEvenDynamic(t *testing.T) {
-	d := BreakEvenDynamic(1.0)
-	if d.StandbyAfter != energy.BreakEven(energy.Standby) {
-		t.Errorf("standby threshold %v != break-even", d.StandbyAfter)
-	}
-	if d.PowerdownAfter != energy.BreakEven(energy.Powerdown) {
-		t.Errorf("powerdown threshold %v != break-even", d.PowerdownAfter)
-	}
-	d2 := BreakEvenDynamic(2.0)
-	if d2.NapAfter != 2*d.NapAfter {
-		t.Errorf("scaling broken: %v vs %v", d2.NapAfter, d.NapAfter)
-	}
-}
-
-func TestBreakEvenDynamicPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for scale <= 0")
+	m := rdram(t)
+	th := ChainFor(m).Thresholds
+	for _, s := range []energy.State{energy.Standby, energy.Nap} {
+		if wait, be := th[s-1], m.BreakEvenOf(s); wait < be {
+			t.Errorf("wait before %v (%v) below its break-even %v", s, wait, be)
 		}
-	}()
-	BreakEvenDynamic(0)
+	}
 }
 
 func TestPolicyInterfaceCompliance(t *testing.T) {
-	for _, p := range []Policy{NewDynamic(), &Static{Mode: energy.Nap}, AlwaysActive{}, BreakEvenDynamic(1)} {
+	for _, p := range []Policy{ChainFor(rdram(t)), &Static{Mode: energy.Nap}, AlwaysActive{}, NewSelfTuning(rdram(t))} {
 		if p.Name() == "" {
 			t.Errorf("%T has empty name", p)
 		}

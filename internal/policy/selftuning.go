@@ -17,7 +17,7 @@ import (
 //
 // The controller feeds every completed idle gap to ObserveGap. Each
 // Window gaps, the policy re-centers its first threshold between the
-// break-even time and the observed median gap: if most gaps are far
+// model's break-even time and the observed median gap: if most gaps are far
 // longer than break-even, waiting longer before sleeping buys nothing,
 // so the threshold shrinks toward break-even; if gaps cluster near the
 // threshold, it grows to avoid transition thrash.
@@ -27,20 +27,24 @@ type SelfTuning struct {
 	// Floor and Ceiling bound the adapted first threshold.
 	Floor, Ceiling sim.Duration
 
-	current Dynamic
+	model   *energy.Model
+	current Chain
 	gaps    []sim.Duration
 	// Adaptations counts re-tuning steps (for tests and reports).
 	Adaptations int64
 }
 
-// NewSelfTuning returns a self-tuning chain starting from the default
-// dynamic thresholds.
-func NewSelfTuning() *SelfTuning {
+// NewSelfTuning returns a self-tuning chain for model m, starting from
+// the technology's default chain (ChainFor) with the first threshold
+// floored at m's standby break-even time. m must be a 4-state machine
+// (ValidateForModel).
+func NewSelfTuning(m *energy.Model) *SelfTuning {
 	return &SelfTuning{
 		Window:  256,
-		Floor:   energy.BreakEven(energy.Standby),
+		Floor:   m.BreakEvenOf(energy.Standby),
 		Ceiling: 10 * sim.Microsecond,
-		current: *NewDynamic(),
+		model:   m,
+		current: *ChainFor(m),
 	}
 }
 
@@ -52,8 +56,11 @@ func (p *SelfTuning) NextStep(s energy.State) (sim.Duration, energy.State, bool)
 // Name implements Policy.
 func (p *SelfTuning) Name() string { return "self-tuning" }
 
-// Thresholds returns the current chain (for tests).
-func (p *SelfTuning) Thresholds() Dynamic { return p.current }
+// Thresholds returns a copy of the current chain's thresholds (for
+// tests).
+func (p *SelfTuning) Thresholds() []sim.Duration {
+	return append([]sim.Duration(nil), p.current.Thresholds...)
+}
 
 // ObserveGap records one completed idle gap. Controllers that support
 // adaptive policies call it when a chip leaves the idle state.
@@ -89,16 +96,12 @@ func (p *SelfTuning) adapt() {
 			target = p.Ceiling
 		}
 	}
-	// Move halfway to the target for stability.
-	p.current.StandbyAfter = (p.current.StandbyAfter + target) / 2
-	p.current.NapAfter = 10 * p.current.StandbyAfter
-	if be := energy.BreakEven(energy.Nap); p.current.NapAfter < be {
-		p.current.NapAfter = be
-	}
-	p.current.PowerdownAfter = 20 * p.current.StandbyAfter
-	if be := energy.BreakEven(energy.Powerdown); p.current.PowerdownAfter < be {
-		p.current.PowerdownAfter = be
-	}
+	// Move halfway to the target for stability; the deeper waits
+	// follow, floored at their states' break-even times.
+	th := p.current.Thresholds
+	th[0] = (th[0] + target) / 2
+	th[1] = max(10*th[0], p.model.BreakEvenOf(energy.Nap))
+	th[2] = max(20*th[0], p.model.BreakEvenOf(energy.Powerdown))
 }
 
 func medianOf(gaps []sim.Duration) sim.Duration {

@@ -9,22 +9,25 @@ import (
 )
 
 func TestSelfTuningDefaults(t *testing.T) {
-	p := NewSelfTuning()
+	m := rdram(t)
+	p := NewSelfTuning(m)
 	if p.Name() != "self-tuning" {
 		t.Fatalf("name = %q", p.Name())
 	}
+	if err := p.ValidateForModel(m); err != nil {
+		t.Fatal(err)
+	}
 	// Before any adaptation it behaves like the default dynamic chain.
 	wait, next, ok := p.NextStep(energy.Active)
-	d := NewDynamic()
-	if !ok || next != energy.Standby || wait != d.StandbyAfter {
+	if !ok || next != energy.Standby || wait != ChainFor(m).Thresholds[0] {
 		t.Fatalf("initial step: %v %v %v", wait, next, ok)
 	}
 }
 
 func TestSelfTuningShrinksOnLongGaps(t *testing.T) {
-	p := NewSelfTuning()
+	p := NewSelfTuning(rdram(t))
 	p.Window = 16
-	before := p.Thresholds().StandbyAfter
+	before := p.Thresholds()[0]
 	// Long idle gaps (1 ms): sleeping earlier is free, threshold should
 	// shrink toward break-even.
 	for round := 0; round < 8; round++ {
@@ -32,7 +35,7 @@ func TestSelfTuningShrinksOnLongGaps(t *testing.T) {
 			p.ObserveGap(sim.Duration(1 * sim.Millisecond))
 		}
 	}
-	after := p.Thresholds().StandbyAfter
+	after := p.Thresholds()[0]
 	if p.Adaptations == 0 {
 		t.Fatal("never adapted")
 	}
@@ -47,7 +50,7 @@ func TestSelfTuningShrinksOnLongGaps(t *testing.T) {
 }
 
 func TestSelfTuningFloorsOnShortGaps(t *testing.T) {
-	p := NewSelfTuning()
+	p := NewSelfTuning(rdram(t))
 	p.Window = 16
 	// Gaps near break-even: the threshold rises past the typical gap so
 	// the chip stops paying transitions for nothing.
@@ -56,7 +59,7 @@ func TestSelfTuningFloorsOnShortGaps(t *testing.T) {
 			p.ObserveGap(20 * sim.Nanosecond)
 		}
 	}
-	got := p.Thresholds().StandbyAfter
+	got := p.Thresholds()[0]
 	if got < p.Floor {
 		t.Fatalf("threshold %v fell below floor %v", got, p.Floor)
 	}
@@ -69,23 +72,23 @@ func TestSelfTuningFloorsOnShortGaps(t *testing.T) {
 }
 
 func TestSelfTuningChainStaysOrdered(t *testing.T) {
-	p := NewSelfTuning()
+	p := NewSelfTuning(rdram(t))
 	p.Window = 8
 	for i := 0; i < 100; i++ {
 		p.ObserveGap(sim.Duration(1+i%50) * sim.Microsecond)
 	}
 	th := p.Thresholds()
-	if th.StandbyAfter <= 0 || th.NapAfter < th.StandbyAfter || th.PowerdownAfter < th.StandbyAfter {
-		t.Fatalf("chain disordered: %+v", th)
+	if th[0] <= 0 || th[1] < th[0] || th[2] < th[0] {
+		t.Fatalf("chain disordered: %v", th)
 	}
 	// Powerdown threshold never undercuts its break-even.
-	if th.PowerdownAfter < energy.BreakEven(energy.Powerdown) {
-		t.Fatalf("powerdown threshold %v below break-even", th.PowerdownAfter)
+	if be := rdram(t).BreakEvenOf(energy.Powerdown); th[2] < be {
+		t.Fatalf("powerdown threshold %v below break-even %v", th[2], be)
 	}
 }
 
 func TestSelfTuningNegativeGapPanics(t *testing.T) {
-	p := NewSelfTuning()
+	p := NewSelfTuning(rdram(t))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative gap accepted")
@@ -99,13 +102,13 @@ func TestSelfTuningNegativeGapPanics(t *testing.T) {
 // powerdown.
 func TestQuickSelfTuningBounds(t *testing.T) {
 	f := func(raw []uint32) bool {
-		p := NewSelfTuning()
+		p := NewSelfTuning(rdram(t))
 		p.Window = 8
 		for _, r := range raw {
 			p.ObserveGap(sim.Duration(r % 100_000_000)) // up to 100 us
 		}
 		th := p.Thresholds()
-		if th.StandbyAfter < p.Floor/2 || th.StandbyAfter > p.Ceiling {
+		if th[0] < p.Floor/2 || th[0] > p.Ceiling {
 			return false
 		}
 		s := energy.Active
